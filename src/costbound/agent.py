@@ -17,7 +17,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .distributions import squashed_gaussian_log_prob, squashed_gaussian_sample
+from .distributions import squashed_gaussian_sample
 from .nn import MLP, GaussianHead
 from .optim import Adam
 
@@ -39,10 +39,6 @@ class Actor:
     def mode(self, state: Tensor) -> Tensor:
         """Deterministic action: squashed distribution mean."""
         return ad.tanh(self.head(state).mean)
-
-    def log_prob(self, state: Tensor, action) -> Tensor:
-        d = self.head(state)
-        return squashed_gaussian_log_prob(d.mean, d.log_std, action)
 
     def parameters(self):
         return self.head.parameters()

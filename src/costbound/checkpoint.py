@@ -32,36 +32,41 @@ class CheckpointError(RuntimeError):
 def save_checkpoint(path, meta: dict, arrays: dict):
     entries = []
     offset = 0
-    payload_parts = []
+    payload = []
     for name in sorted(arrays):
         arr = np.ascontiguousarray(arrays[name])
         code = arr.dtype.str.lstrip("<>|=")
         if code not in _DTYPES:
             raise CheckpointError(f"unsupported dtype {arr.dtype} for array {name!r}")
-        raw = arr.tobytes()
         entries.append({"name": name, "dtype": code, "shape": list(arr.shape), "offset": offset})
-        payload_parts.append(raw)
-        offset += len(raw)
+        payload.append(arr)
+        offset += arr.nbytes
     header = json.dumps(
         {"format_version": FORMAT_VERSION, "meta": meta, "arrays": entries},
         sort_keys=True,
         separators=(",", ":"),
     ).encode()
-    blob = MAGIC + struct.pack("<IQ", FORMAT_VERSION, len(header)) + header + b"".join(payload_parts)
-    digest = hashlib.sha256(blob).digest()
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
+    digest = hashlib.sha256()
+    # array buffers go to the file and the hash as they are, without a copy
     with open(tmp, "wb") as fh:
-        fh.write(blob + digest)
+        for part in [MAGIC + struct.pack("<IQ", FORMAT_VERSION, len(header)), header, *payload]:
+            part = memoryview(part)
+            digest.update(part)
+            fh.write(part)
+        fh.write(digest.digest())
     os.replace(tmp, path)
 
 
 def load_checkpoint(path):
+    """(meta, arrays) of a checkpoint; the arrays are read-only views of
+    the file's bytes."""
     data = Path(path).read_bytes()
     if len(data) < len(MAGIC) + 12 + 32:
         raise CheckpointError("checkpoint file truncated")
-    body, digest = data[:-32], data[-32:]
-    if hashlib.sha256(body).digest() != digest:
+    body = memoryview(data)[:-32]
+    if hashlib.sha256(body).digest() != data[-32:]:
         raise CheckpointError("checkpoint checksum mismatch (corrupted or truncated)")
     if body[: len(MAGIC)] != MAGIC:
         raise CheckpointError("not a checkpoint file (bad magic)")
@@ -69,13 +74,12 @@ def load_checkpoint(path):
     if version != FORMAT_VERSION:
         raise CheckpointError(f"unsupported checkpoint version {version}")
     header_start = len(MAGIC) + 12
-    header = json.loads(body[header_start : header_start + header_len].decode())
+    header = json.loads(bytes(body[header_start : header_start + header_len]))
     payload = body[header_start + header_len :]
     arrays = {}
     for entry in header["arrays"]:
         dtype = np.dtype(_DTYPES[entry["dtype"]])
         count = int(np.prod(entry["shape"])) if entry["shape"] else 1
-        start = entry["offset"]
-        arr = np.frombuffer(payload, dtype=dtype, count=count, offset=start)
-        arrays[entry["name"]] = arr.reshape(entry["shape"]).copy()
+        arr = np.frombuffer(payload, dtype=dtype, count=count, offset=entry["offset"])
+        arrays[entry["name"]] = arr.reshape(entry["shape"])
     return header["meta"], arrays

@@ -38,9 +38,6 @@ class DiagGaussian:
             raise ValueError(f"noise shape {noise.shape} != mean shape {self.mean.shape}")
         return self.mean + ad.exp(self.log_std) * noise
 
-    def mode(self) -> Tensor:
-        return self.mean
-
 
 def clamp_log_std(log_std: Tensor, lo: float = LOG_STD_MIN, hi: float = LOG_STD_MAX) -> Tensor:
     return ad.clamp(log_std, lo, hi)

@@ -46,7 +46,6 @@ class HazardWorldConfig:
     spawn_clearance: float = 1.5
     episode_limit: int = 200     # base steps
     seed: int = 0
-    fixed_layout: bool = False   # ignore reseeding on reset (debug/eval fixtures)
 
     def __post_init__(self):
         if self.view_size % 4 != 0:
@@ -59,7 +58,6 @@ class HazardWorld:
     """Kinematic 2-D arena with separate reward and safety signals."""
 
     action_dim = 2
-    quantized_pixels = True  # observations are exact multiples of 1/255
 
     def __init__(self, config: HazardWorldConfig):
         self.cfg = config
@@ -92,10 +90,8 @@ class HazardWorld:
 
     def reset(self, seed: int | None = None) -> np.ndarray:
         cfg = self.cfg
-        if seed is not None and not cfg.fixed_layout:
+        if seed is not None:
             self._rng = np.random.default_rng(seed)
-        if cfg.fixed_layout:
-            self._rng = np.random.default_rng(cfg.seed)
         self._hazards = []
         for _ in range(cfg.hazard_count):
             self._hazards.append(
@@ -232,8 +228,6 @@ class ChainEnvConfig:
 
 class TabularChainEnv:
     """Env facade over a TabularCMDP; observation is one pixel encoding the state."""
-
-    quantized_pixels = False
 
     def __init__(self, config: ChainEnvConfig):
         m = config.cmdp

@@ -68,15 +68,6 @@ class InferredLatents:
         return ad.concat([self.z1[t], self.z2[t]], axis=1)
 
 
-@dataclass
-class GeneratedRollout:
-    z1: list
-    z2: list
-    obs_dists: list      # DiagGaussian per step, fixed std
-    reward_dists: list   # DiagGaussian per step, unit std
-    cost_logits: list    # Tensor per step
-
-
 def posterior_noise(rng: np.random.Generator, batch: int, steps: int, cfg: "LatentModelConfig"):
     """Standard-normal driving noise for ``steps`` latent samples."""
     return (
@@ -165,36 +156,6 @@ class LatentModel:
         if not np.all(np.isfinite(z1s[-1].data)) or not np.all(np.isfinite(z2s[-1].data)):
             raise NonFiniteLossError("latent inference produced non-finite values")
         return InferredLatents(z1s, z2s, posteriors, priors)
-
-    # -- generation --------------------------------------------------------------
-
-    def generate_rollout(self, z1_0: Tensor, z2_0: Tensor, actions: np.ndarray, noise) -> GeneratedRollout:
-        """Advance the generative transitions for H action steps from (z1_0, z2_0)."""
-        b, horizon = actions.shape[:2]
-        if horizon < 1:
-            raise ValueError("rollout horizon must be >= 1")
-        eps1, eps2 = noise
-        z1s, z2s = [z1_0], [z2_0]
-        reward_dists, cost_logits = [], []
-        for t in range(horizon):
-            a = Tensor(actions[:, t])
-            prev_z1, prev_z2 = z1s[-1], z2s[-1]
-            p1 = self.prior_step(ad.concat([prev_z2, a], axis=1))
-            z1_t = p1.rsample(eps1[:, t])
-            z2_t = self.z2_step(ad.concat([z1_t, prev_z2, a], axis=1)).rsample(eps2[:, t])
-            pair = ad.concat([prev_z1, prev_z2, a, z1_t, z2_t], axis=1)
-            r_mean = self.reward_head(pair)
-            reward_dists.append(DiagGaussian(r_mean, Tensor(np.zeros_like(r_mean.data))))
-            cost_logits.append(self.cost_head(pair))
-            z1s.append(z1_t)
-            z2s.append(z2_t)
-        states = ad.concat([ad.concat([z1s[t + 1], z2s[t + 1]], axis=1) for t in range(horizon)], axis=0)
-        dec_mean = self.decoder(states)
-        obs_dists = []
-        for t in range(horizon):
-            mean_t = dec_mean[t * b : (t + 1) * b]
-            obs_dists.append(DiagGaussian(mean_t, Tensor(np.full(mean_t.shape, self._log_recon_std))))
-        return GeneratedRollout(z1s, z2s, obs_dists, reward_dists, cost_logits)
 
     # -- training objective ---------------------------------------------------------
 

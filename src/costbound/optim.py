@@ -88,16 +88,3 @@ def ema_update(target_params, online_params, nu: float):
         if t.data.shape != o.data.shape:
             raise ValueError(f"shape mismatch {t.data.shape} vs {o.data.shape}")
         t.data += nu * (o.data - t.data)
-
-
-def copy_params(dst_params, src_params):
-    """Hard copy of parameter values (target-network initialization)."""
-    for d, s in zip(dst_params, src_params):
-        d.data[...] = s.data
-
-
-def parameters_of(*modules):
-    out = []
-    for m in modules:
-        out.extend(m.parameters())
-    return out

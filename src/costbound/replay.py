@@ -8,8 +8,17 @@ rewards and costs from the first ``length``. Windows therefore never
 cross an episode boundary, and the action at position t in a window is
 the one executed between observations t and t+1.
 
-Eviction drops whole oldest episodes once the transition count exceeds
-capacity; the episode currently being written is never evicted.
+Records live in one ring of five flat arrays of ``capacity`` rows,
+allocated once: a running record counter ``n`` is stored at row
+``n % capacity``, and a list of episode start counters marks the live
+episodes, the last being the one currently being written. Frames are
+8-bit pixels: ``append`` accepts only observations that are exact
+multiples of 1/255 in [0, 1], stores them as uint8 and sampling decodes
+them back to the same float64 values.
+
+When the ring is full, the oldest whole episode is dropped before the
+next record is written; the episode currently being written is never
+evicted, so it must fit in ``capacity`` records.
 """
 
 from __future__ import annotations
@@ -37,58 +46,50 @@ class SequenceBatch:
 
 
 class ReplayBuffer:
-    def __init__(
-        self,
-        capacity: int,
-        obs_shape,
-        action_dim: int,
-        seed: int = 0,
-        obs_dtype=np.float64,
-    ):
+    def __init__(self, capacity: int, obs_shape, action_dim: int, seed: int = 0):
         if capacity < 1:
             raise ValueError("capacity must be positive")
-        if obs_dtype not in (np.float64, np.uint8):
-            raise ValueError("obs_dtype must be float64 or uint8")
         self.capacity = int(capacity)
         self.obs_shape = tuple(obs_shape)
         self.action_dim = int(action_dim)
-        self.obs_dtype = obs_dtype
         self._rng = np.random.default_rng(seed)
-        self._episodes: list[dict] = []   # frozen, as arrays
-        self._cur_obs: list[np.ndarray] = []
-        self._cur_act: list[np.ndarray] = []
-        self._cur_rew: list[float] = []
-        self._cur_cost: list[float] = []
-        self._cur_done: list[bool] = []
+        # np.empty leaves rows that are never written untouched in memory
+        self._records = {
+            "obs": np.empty((self.capacity, *self.obs_shape), dtype=np.uint8),
+            "act": np.empty((self.capacity, self.action_dim), dtype=np.float64),
+            "rew": np.empty(self.capacity, dtype=np.float64),
+            "cost": np.empty(self.capacity, dtype=np.float64),
+            "done": np.empty(self.capacity, dtype=bool),
+        }
+        self._count = 0       # records ever written
+        self._starts = [0]    # start counter of each live episode; the last is open
 
     # -- writing -------------------------------------------------------------
 
-    def _encode_obs(self, obs: np.ndarray) -> np.ndarray:
-        obs = np.asarray(obs)
+    def append(self, obs, action, reward: float, cost: float, done: bool):
+        obs = np.asarray(obs, dtype=np.float64)
         if obs.shape != self.obs_shape:
             raise ValueError(f"observation shape {obs.shape} != {self.obs_shape}")
-        if self.obs_dtype == np.uint8:
-            # valid only for observations quantized to multiples of 1/255
-            return np.rint(obs * 255.0).astype(np.uint8)
-        return np.array(obs, dtype=np.float64)
-
-    def _decode_obs(self, stored: np.ndarray) -> np.ndarray:
-        if self.obs_dtype == np.uint8:
-            return stored.astype(np.float64) / 255.0
-        return stored.astype(np.float64)
-
-    def append(self, obs, action, reward: float, cost: float, done: bool):
+        pixels = np.rint(obs * 255.0)
+        if not ((pixels / 255.0 == obs) & (pixels >= 0.0) & (pixels <= 255.0)).all():
+            raise ValueError("observation is not an 8-bit frame (multiples of 1/255 in [0, 1])")
         action = np.asarray(action, dtype=np.float64)
         if action.shape != (self.action_dim,):
             raise ValueError(f"action shape {action.shape} != ({self.action_dim},)")
-        self._cur_obs.append(self._encode_obs(obs))
-        self._cur_act.append(action.copy())
-        self._cur_rew.append(float(reward))
-        self._cur_cost.append(float(cost))
-        self._cur_done.append(bool(done))
+        if len(self) == self.capacity:
+            if len(self._starts) == 1:
+                raise ValueError(f"the open episode cannot hold more than {self.capacity} records")
+            self._starts.pop(0)
+        row = self._count % self.capacity
+        rec = self._records
+        rec["obs"][row] = pixels
+        rec["act"][row] = action
+        rec["rew"][row] = reward
+        rec["cost"][row] = cost
+        rec["done"][row] = done
+        self._count += 1
         if done:
-            self._freeze_current()
-        self._evict()
+            self._starts.append(self._count)
 
     def end_episode(self):
         """Close the in-progress episode without a terminal flag.
@@ -97,51 +98,25 @@ class ReplayBuffer:
         reset; the stored transitions stay valid, later windows simply
         cannot span the cut.
         """
-        if self._cur_obs:
-            self._freeze_current()
-
-    def _freeze_current(self):
-        self._episodes.append(
-            {
-                "obs": np.stack(self._cur_obs),
-                "act": np.stack(self._cur_act),
-                "rew": np.array(self._cur_rew, dtype=np.float64),
-                "cost": np.array(self._cur_cost, dtype=np.float64),
-                "done": np.array(self._cur_done, dtype=bool),
-            }
-        )
-        self._cur_obs, self._cur_act = [], []
-        self._cur_rew, self._cur_cost, self._cur_done = [], [], []
-
-    def _evict(self):
-        while len(self) > self.capacity and self._episodes:
-            self._episodes.pop(0)
+        if self._starts[-1] < self._count:
+            self._starts.append(self._count)
 
     # -- sizes ---------------------------------------------------------------
 
     def __len__(self) -> int:
-        return sum(ep["rew"].shape[0] for ep in self._episodes) + len(self._cur_rew)
+        return self._count - self._starts[0]
 
     @property
     def num_episodes(self) -> int:
-        return len(self._episodes) + (1 if self._cur_rew else 0)
+        return len(self._starts) - (self._starts[-1] == self._count)
 
-    def _episode_views(self):
-        eps = list(self._episodes)
-        if self._cur_rew:
-            eps.append(
-                {
-                    "obs": np.stack(self._cur_obs),
-                    "act": np.stack(self._cur_act),
-                    "rew": np.array(self._cur_rew, dtype=np.float64),
-                    "cost": np.array(self._cur_cost, dtype=np.float64),
-                    "done": np.array(self._cur_done, dtype=bool),
-                }
-            )
-        return eps
+    def _window_counts(self, length: int):
+        """(start counter, number of windows) of each live episode."""
+        edges = np.array(self._starts + [self._count])
+        return edges[:-1], np.maximum(np.diff(edges) - length, 0)
 
     def num_windows(self, length: int) -> int:
-        return sum(max(0, ep["rew"].shape[0] - length) for ep in self._episode_views())
+        return int(self._window_counts(length)[1].sum())
 
     # -- sampling ------------------------------------------------------------
 
@@ -149,8 +124,7 @@ class ReplayBuffer:
         """Uniform over all valid (episode, start) window positions."""
         if length < 1:
             raise ValueError("length must be >= 1")
-        eps = self._episode_views()
-        counts = np.array([max(0, ep["rew"].shape[0] - length) for ep in eps], dtype=np.int64)
+        starts, counts = self._window_counts(length)
         total = int(counts.sum())
         if total == 0:
             raise ValueError(
@@ -158,81 +132,53 @@ class ReplayBuffer:
             )
         prefix = np.cumsum(counts)
         draws = self._rng.integers(0, total, size=batch_size)
-        obs = np.empty((batch_size, length + 1, *self.obs_shape), dtype=np.float64)
-        act = np.empty((batch_size, length, self.action_dim), dtype=np.float64)
-        rew = np.empty((batch_size, length), dtype=np.float64)
-        cost = np.empty((batch_size, length), dtype=np.float64)
-        done = np.empty((batch_size, length), dtype=bool)
-        for b, idx in enumerate(draws):
-            ep_idx = int(np.searchsorted(prefix, idx, side="right"))
-            start = int(idx - (prefix[ep_idx - 1] if ep_idx else 0))
-            ep = eps[ep_idx]
-            obs[b] = self._decode_obs(ep["obs"][start : start + length + 1])
-            act[b] = ep["act"][start : start + length]
-            rew[b] = ep["rew"][start : start + length]
-            cost[b] = ep["cost"][start : start + length]
-            done[b] = ep["done"][start : start + length]
-        return SequenceBatch(obs, act, rew, cost, done)
+        episode = np.searchsorted(prefix, draws, side="right")
+        first = starts[episode] + draws - (prefix[episode] - counts[episode])
+        rows = (first[:, None] + np.arange(length + 1)) % self.capacity
+        steps = rows[:, :-1]
+        rec = self._records
+        return SequenceBatch(
+            rec["obs"][rows].astype(np.float64) / 255.0,
+            rec["act"][steps],
+            rec["rew"][steps],
+            rec["cost"][steps],
+            rec["done"][steps],
+        )
 
     # -- serialization (documented layout, used by checkpoints) ----------------
 
     def state(self):
-        """(meta, arrays): episode lengths + open flag, and flat record arrays."""
-        eps = self._episode_views()
-        lengths = [int(ep["rew"].shape[0]) for ep in eps]
+        """(meta, arrays): episode lengths + open flag, and the live records
+        as flat arrays in chronological order."""
+        lengths = np.diff(self._starts + [self._count]).tolist()
+        is_open = lengths[-1] > 0
+        if not is_open:
+            lengths.pop()
         meta = {
             "lengths": lengths,
-            "open": bool(self._cur_rew),
+            "open": is_open,
             "rng": _rng_state_to_meta(self._rng),
-            "obs_dtype": "uint8" if self.obs_dtype == np.uint8 else "float64",
+            "obs_dtype": "uint8",
         }
-        if eps:
-            arrays = {
-                "obs": np.concatenate([ep["obs"] for ep in eps]),
-                "act": np.concatenate([ep["act"] for ep in eps]),
-                "rew": np.concatenate([ep["rew"] for ep in eps]),
-                "cost": np.concatenate([ep["cost"] for ep in eps]),
-                "done": np.concatenate([ep["done"] for ep in eps]),
-            }
-        else:
-            arrays = {
-                "obs": np.empty((0, *self.obs_shape), dtype=self.obs_dtype),
-                "act": np.empty((0, self.action_dim), dtype=np.float64),
-                "rew": np.empty(0, dtype=np.float64),
-                "cost": np.empty(0, dtype=np.float64),
-                "done": np.empty(0, dtype=bool),
-            }
-        return meta, arrays
+        rows = np.arange(self._starts[0], self._count) % self.capacity
+        return meta, {name: values[rows] for name, values in self._records.items()}
 
     def load_state(self, meta, arrays):
-        dtype = np.uint8 if meta["obs_dtype"] == "uint8" else np.float64
-        if dtype != self.obs_dtype:
-            raise ValueError("buffer obs_dtype mismatch")
-        self._episodes = []
-        self._cur_obs, self._cur_act = [], []
-        self._cur_rew, self._cur_cost, self._cur_done = [], [], []
-        offset = 0
-        lengths = list(meta["lengths"])
-        for i, n in enumerate(lengths):
-            sl = slice(offset, offset + n)
-            offset += n
-            is_open_tail = meta["open"] and i == len(lengths) - 1
-            if is_open_tail:
-                self._cur_obs = [a.copy() for a in arrays["obs"][sl]]
-                self._cur_act = [a.copy() for a in arrays["act"][sl]]
-                self._cur_rew = [float(v) for v in arrays["rew"][sl]]
-                self._cur_cost = [float(v) for v in arrays["cost"][sl]]
-                self._cur_done = [bool(v) for v in arrays["done"][sl]]
-            else:
-                self._episodes.append(
-                    {
-                        "obs": arrays["obs"][sl].astype(self.obs_dtype).copy(),
-                        "act": arrays["act"][sl].astype(np.float64).copy(),
-                        "rew": arrays["rew"][sl].astype(np.float64).copy(),
-                        "cost": arrays["cost"][sl].astype(np.float64).copy(),
-                        "done": arrays["done"][sl].astype(bool).copy(),
-                    }
-                )
+        if meta["obs_dtype"] != "uint8":
+            raise ValueError(f"replay frames must be uint8, not {meta['obs_dtype']}")
+        lengths = [int(n) for n in meta["lengths"]]
+        n = sum(lengths)
+        if n > self.capacity or any(k < 1 for k in lengths):
+            raise ValueError(f"episode lengths {lengths} do not fit a buffer of {self.capacity} records")
+        for name, values in self._records.items():
+            if arrays[name].shape != values[:n].shape:
+                raise ValueError(f"stored {name} has shape {arrays[name].shape}, expected {values[:n].shape}")
+        for name, values in self._records.items():
+            values[:n] = arrays[name]
+        self._count = n
+        self._starts = np.cumsum([0] + lengths).tolist()
+        if meta["open"] and lengths:
+            self._starts.pop()
         self._rng = _rng_from_meta(meta["rng"])
 
 

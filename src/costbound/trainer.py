@@ -43,7 +43,11 @@ from .replay import ReplayBuffer, _rng_from_meta, _rng_state_to_meta
 
 METRICS_HEADER = "step,reward_mean,cost_mean,lambda,alpha,model_loss,q1_loss,q2_loss,qc_loss,policy_loss"
 
-_RNG_NAMES = ("warmup", "action", "filter", "model", "ac")
+# scalar run state that checkpoints carry in their JSON header as is
+_STATE_FIELDS = (
+    "phase", "env_step", "warmup_collected", "warmup_model_done", "grad_accum",
+    "ep_reward", "ep_cost", "eval_next", "ckpt_next", "metrics_rows",
+)
 
 
 def build_env(cfg: TrainConfig, seed: int) -> ActionRepeat:
@@ -192,10 +196,8 @@ class Trainer:
         init_lambda = cfg.init_lambda if cfg.constrained else 0.0
         self.lagrange = LagrangeState(init_lambda, lr=cfg.lambda_lr, budget=cfg.cost_budget)
 
-        obs_dtype = np.uint8 if getattr(self.env.env, "quantized_pixels", False) else np.float64
         self.buffer = ReplayBuffer(
-            cfg.replay_capacity, obs_shape, self.action_dim,
-            seed=int(children[8].generate_state(1)[0]), obs_dtype=obs_dtype,
+            cfg.replay_capacity, obs_shape, self.action_dim, seed=int(children[8].generate_state(1)[0])
         )
 
         self.phase = "warmup_collect"
@@ -324,15 +326,12 @@ class Trainer:
         cfg = self.cfg
         batch = self.buffer.sample_sequences(cfg.model_batch, cfg.sequence_length)
         noise = posterior_noise(self.rngs["model"], cfg.model_batch, cfg.sequence_length + 1, self.model.cfg)
-        self.opt_model.zero_grad()
         try:
             loss, _ = self.model.model_loss(batch, noise)
         except NonFiniteLossError:
             self._diagnostic_abort()
             raise
-        ad.backward(loss)
-        clip_grad_norm(self.model.parameters(), cfg.grad_clip)
-        self.opt_model.step()
+        self._apply(self.opt_model, loss)
         value = loss.item()
         self._loss_sums["model"] += value
         self._loss_counts["model"] += 1
@@ -360,33 +359,21 @@ class Trainer:
             self.q1, self.q2, self.q1_target, self.q2_target, self.actor,
             alpha, z_tau, a_tau, r_tau, z_next, cfg.gamma, draw(),
         )
-        self.opt_q1.zero_grad()
-        self.opt_q2.zero_grad()
-        ad.backward(l1)
-        ad.backward(l2)
-        clip_grad_norm(self.q1.parameters(), cfg.grad_clip)
-        clip_grad_norm(self.q2.parameters(), cfg.grad_clip)
-        self.opt_q1.step()
-        self.opt_q2.step()
+        self._apply(self.opt_q1, l1)
+        self._apply(self.opt_q2, l2)
 
         self._model_update()
 
         pi_loss, logp = policy_loss(
             self.actor, self.q1, self.q2, self.qc, alpha, lam, z_next, draw()
         )
-        self.opt_actor.zero_grad()
-        ad.backward(pi_loss)
-        clip_grad_norm(self.actor.parameters(), cfg.grad_clip)
-        self.opt_actor.step()
+        self._apply(self.opt_actor, pi_loss)
 
         lc = safety_critic_loss(
             self.qc, self.qc_target, self.actor, z_tau, a_tau, c_tau, z_next,
             cfg.cost_gamma, draw(),
         )
-        self.opt_qc.zero_grad()
-        ad.backward(lc)
-        clip_grad_norm(self.qc.parameters(), cfg.grad_clip)
-        self.opt_qc.step()
+        self._apply(self.opt_qc, lc)
 
         self.temperature.update(logp.data)
 
@@ -395,13 +382,21 @@ class Trainer:
         ema_update(self.q2_target.parameters(), self.q2.parameters(), nu)
         ema_update(self.qc_target.parameters(), self.qc.parameters(), nu)
 
-        values = {"q1": l1.item(), "q2": l2.item(), "qc": lc.item(), "policy": pi_loss.item()}
-        if not all(np.isfinite(v) for v in values.values()):
-            self._diagnostic_abort()
-            raise NonFiniteLossError(f"actor-critic losses diverged: {values}")
-        for key, v in values.items():
-            self._loss_sums[key] += v
+        for key, loss in (("q1", l1), ("q2", l2), ("qc", lc), ("policy", pi_loss)):
+            self._loss_sums[key] += loss.item()
         self._loss_counts["ac"] += 1
+
+    def _apply(self, opt: Adam, loss: Tensor):
+        """One clipped optimizer step on ``loss``. A non-finite loss or
+        gradient norm writes the diagnostic checkpoint and raises before
+        the step, so no NaN reaches the parameters or moments."""
+        opt.zero_grad()
+        ad.backward(loss)
+        norm = clip_grad_norm(opt.params, self.cfg.grad_clip)
+        if not (np.isfinite(loss.data) and np.isfinite(norm)):
+            self._diagnostic_abort()
+            raise NonFiniteLossError(f"non-finite loss {loss.item()!r} or gradient norm {norm!r}")
+        opt.step()
 
     def _diagnostic_abort(self):
         self.save(self.out_dir / "diagnostic.ckpt")
@@ -539,28 +534,19 @@ class Trainer:
         buffer_meta, buffer_arrays = self.buffer.state()
         for name, arr in buffer_arrays.items():
             arrays[f"buffer/{name}"] = arr
-        meta = {
+        meta = {name: getattr(self, name) for name in _STATE_FIELDS}
+        meta.update({
             "state_version": self.CHECKPOINT_STATE_VERSION,
             "config": self.cfg.to_dict(),
-            "phase": self.phase,
-            "env_step": self.env_step,
-            "warmup_collected": self.warmup_collected,
-            "warmup_model_done": self.warmup_model_done,
-            "grad_accum": self.grad_accum,
-            "ep_reward": self.ep_reward,
-            "ep_cost": self.ep_cost,
-            "eval_next": self.eval_next,
-            "ckpt_next": self.ckpt_next,
             "lagrange_lam": self.lagrange.lam,
             "has_filter": has_filter,
-            "metrics_rows": self.metrics_rows,
             "loss_sums": self._loss_sums,
             "loss_counts": self._loss_counts,
             "opt_steps": opt_steps,
             "rngs": {name: _rng_state_to_meta(rng) for name, rng in self.rngs.items()},
             "env_state": _jsonable(self.env.get_state()),
             "buffer_meta": buffer_meta,
-        }
+        })
         save_checkpoint(path, meta, arrays)
         return Path(path)
 
@@ -595,19 +581,11 @@ class Trainer:
         trainer.buffer.load_state(
             meta["buffer_meta"], {k.split("/", 1)[1]: v for k, v in arrays.items() if k.startswith("buffer/")}
         )
-        for name in _RNG_NAMES:
+        for name in trainer.rngs:
             trainer.rngs[name] = _rng_from_meta(meta["rngs"][name])
         trainer.env.set_state(_from_jsonable(meta["env_state"]))
-        trainer.phase = meta["phase"]
-        trainer.env_step = int(meta["env_step"])
-        trainer.warmup_collected = int(meta["warmup_collected"])
-        trainer.warmup_model_done = int(meta["warmup_model_done"])
-        trainer.grad_accum = float(meta["grad_accum"])
-        trainer.ep_reward = float(meta["ep_reward"])
-        trainer.ep_cost = float(meta["ep_cost"])
-        trainer.eval_next = int(meta["eval_next"])
-        trainer.ckpt_next = None if meta["ckpt_next"] is None else int(meta["ckpt_next"])
-        trainer.metrics_rows = list(meta["metrics_rows"])
+        for name in _STATE_FIELDS:
+            setattr(trainer, name, meta[name])
         trainer._loss_sums = {k: float(v) for k, v in meta["loss_sums"].items()}
         trainer._loss_counts = {k: int(v) for k, v in meta["loss_counts"].items()}
         return trainer

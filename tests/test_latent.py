@@ -100,48 +100,6 @@ def test_shared_z2_transition_reproduces_inference_path():
         assert np.array_equal(replayed.data, inf.z2[t].data)
 
 
-def test_rollout_zero_noise_is_mean_path():
-    rng = np.random.default_rng(8)
-    model = LatentModel(tiny_config(), rng)
-    z1 = Tensor(rng.normal(size=(1, 2)))
-    z2 = Tensor(rng.normal(size=(1, 3)))
-    actions = rng.uniform(-1, 1, size=(1, 1, 2))
-    zero = (np.zeros((1, 1, 2)), np.zeros((1, 1, 3)))
-    roll = model.generate_rollout(z1, z2, actions, zero)
-    p1 = model.prior_step(ad.concat([z2, Tensor(actions[:, 0])], axis=1))
-    assert np.allclose(roll.z1[1].data, p1.mean.data)
-
-
-def test_rollout_cost_logit_finite_sigmoid_in_unit_interval():
-    rng = np.random.default_rng(9)
-    model = LatentModel(tiny_config(), rng)
-    z1 = Tensor(rng.normal(size=(4, 2)))
-    z2 = Tensor(rng.normal(size=(4, 3)))
-    actions = rng.uniform(-1, 1, size=(4, 2, 2))
-    noise = (rng.standard_normal((4, 2, 2)), rng.standard_normal((4, 2, 3)))
-    roll = model.generate_rollout(z1, z2, actions, noise)
-    for logits in roll.cost_logits:
-        assert np.all(np.isfinite(logits.data))
-        probs = 1.0 / (1.0 + np.exp(-logits.data))
-        assert np.all((probs > 0.0) & (probs < 1.0))
-
-
-def test_rollout_sampled_observations_center_on_decoder_mean():
-    rng = np.random.default_rng(10)
-    model = LatentModel(tiny_config(), rng)
-    z1 = Tensor(rng.normal(size=(1, 2)))
-    z2 = Tensor(rng.normal(size=(1, 3)))
-    actions = rng.uniform(-1, 1, size=(1, 1, 2))
-    zero = (np.zeros((1, 1, 2)), np.zeros((1, 1, 3)))
-    roll = model.generate_rollout(z1, z2, actions, zero)
-    d = roll.obs_dists[0]
-    n = 10_000
-    eps = rng.standard_normal((n, *d.mean.data.shape[1:]))
-    samples = d.mean.data[0] + np.exp(d.log_std.data[0]) * eps
-    se = samples.std(axis=0, ddof=1) / np.sqrt(n)
-    assert np.all(np.abs(samples.mean(axis=0) - d.mean.data[0]) <= 3 * se)
-
-
 def test_model_loss_cost_term_vanishes_under_perfect_prediction():
     rng = np.random.default_rng(11)
     model = LatentModel(tiny_config(), rng)

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from costbound import autodiff as ad
 from costbound.autodiff import Tensor
-from costbound.optim import Adam, clip_grad_norm, copy_params, ema_update
+from costbound.optim import Adam, clip_grad_norm, ema_update
 
 
 def test_first_step_magnitude_is_learning_rate():
@@ -140,10 +140,3 @@ def test_ema_fixed_point_exact():
 def test_ema_shape_mismatch_rejected():
     with pytest.raises(ValueError):
         ema_update([Tensor(np.zeros(2))], [Tensor(np.zeros(3))], nu=0.5)
-
-
-def test_copy_params():
-    a = Tensor(np.zeros(3))
-    b = Tensor(np.arange(3.0))
-    copy_params([a], [b])
-    assert np.array_equal(a.data, b.data)
