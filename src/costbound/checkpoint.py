@@ -7,12 +7,17 @@ SHA-256 digest of everything before it. Files are written to a temp name
 and atomically renamed, and a load parses and verifies everything before
 any state is handed back, so a truncated or corrupted file never applies
 partial state.
+
+Small arrays may also sit inside the metadata: an ndarray there is
+written into the header as ``{"__array__": nested list}`` and read back
+as a float64 array.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import struct
 from pathlib import Path
@@ -27,6 +32,18 @@ _DTYPES = {"f8": np.float64, "u1": np.uint8, "i8": np.int64, "b1": np.bool_}
 
 class CheckpointError(RuntimeError):
     pass
+
+
+def _encode(value):
+    if not isinstance(value, np.ndarray):
+        raise TypeError(f"cannot store {type(value).__name__} in a checkpoint header")
+    return {"__array__": value.tolist()}
+
+
+def _decode(obj: dict):
+    if len(obj) == 1 and "__array__" in obj:
+        return np.array(obj["__array__"], dtype=np.float64)
+    return obj
 
 
 def save_checkpoint(path, meta: dict, arrays: dict):
@@ -45,6 +62,7 @@ def save_checkpoint(path, meta: dict, arrays: dict):
         {"format_version": FORMAT_VERSION, "meta": meta, "arrays": entries},
         sort_keys=True,
         separators=(",", ":"),
+        default=_encode,
     ).encode()
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
@@ -74,12 +92,23 @@ def load_checkpoint(path):
     if version != FORMAT_VERSION:
         raise CheckpointError(f"unsupported checkpoint version {version}")
     header_start = len(MAGIC) + 12
-    header = json.loads(bytes(body[header_start : header_start + header_len]))
+    if header_start + header_len > len(body):
+        raise CheckpointError("checkpoint header overruns the file")
+    header = json.loads(bytes(body[header_start : header_start + header_len]), object_hook=_decode)
     payload = body[header_start + header_len :]
-    arrays = {}
+    arrays, offset = {}, 0
     for entry in header["arrays"]:
+        name = entry["name"]
+        if entry["dtype"] not in _DTYPES:
+            raise CheckpointError(f"array {name!r} has unknown dtype {entry['dtype']!r}")
+        if entry["offset"] != offset:
+            raise CheckpointError(f"array {name!r} at offset {entry['offset']}, expected {offset}")
         dtype = np.dtype(_DTYPES[entry["dtype"]])
-        count = int(np.prod(entry["shape"])) if entry["shape"] else 1
-        arr = np.frombuffer(payload, dtype=dtype, count=count, offset=entry["offset"])
-        arrays[entry["name"]] = arr.reshape(entry["shape"])
+        end = offset + math.prod(entry["shape"]) * dtype.itemsize
+        if end > len(payload):
+            raise CheckpointError(f"array {name!r} overruns the payload")
+        arrays[name] = np.frombuffer(payload[offset:end], dtype=dtype).reshape(entry["shape"])
+        offset = end
+    if offset != len(payload):
+        raise CheckpointError(f"{len(payload) - offset} bytes after the last array")
     return header["meta"], arrays

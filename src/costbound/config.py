@@ -9,6 +9,7 @@ file must set it explicitly.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -81,6 +82,10 @@ class TrainConfig:
     def validate(self):
         if self.lambda_lr is None:
             raise ValueError("lambda_lr must be set explicitly (no trusted default)")
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and math.isnan(value):
+                raise ValueError(f"{f.name} must not be NaN")
         positive = [
             "action_repeat", "view_size", "episode_limit", "z1_size", "z2_size",
             "feature_size", "model_hidden", "ac_hidden", "replay_capacity",
@@ -100,6 +105,8 @@ class TrainConfig:
             raise ValueError("target_ema must be in (0, 1]")
         if self.env not in ("hazardworld",):
             raise ValueError(f"unknown env {self.env!r}")
+        if self.encoder not in ("auto", "conv", "mlp"):
+            raise ValueError(f"unknown encoder {self.encoder!r}")
         base_episode = self.episode_limit * self.action_repeat
         if base_episode > self.replay_capacity:
             raise ValueError("replay_capacity must hold at least one full episode")

@@ -238,6 +238,9 @@ class TabularChainEnv:
         self.obs_shape = (1, 1, 1)
         self.action_dim = 1  # actions are integers in [0, num_actions)
         self._rng = np.random.default_rng(config.seed)
+        # normalised as Generator.choice does, so a searchsorted draw equals choice(p=row)
+        cdf = np.cumsum(m.transitions, axis=2)
+        self._cdf = cdf / cdf[..., -1:]
         self._state = m.initial_state
         self._steps = 0
         self._done = True
@@ -262,7 +265,7 @@ class TabularChainEnv:
             raise ValueError(f"action {a} out of range")
         reward = float(self.cmdp.rewards[self._state, a])
         cost = float(self.cmdp.costs[self._state, a])
-        self._state = int(self._rng.choice(self.cmdp.num_states, p=self.cmdp.transitions[self._state, a]))
+        self._state = int(self._cdf[self._state, a].searchsorted(self._rng.random(), side="right"))
         self._steps += 1
         self._done = self._steps >= self.cfg.episode_limit
         return StepResult(self._observe(), reward, cost, self._done)

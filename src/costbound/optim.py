@@ -43,14 +43,6 @@ class Adam:
         """Moment accumulators in a stable order, for checkpointing."""
         return list(self.m) + list(self.v)
 
-    def load_state_arrays(self, arrays, step_count: int):
-        n = len(self.params)
-        if len(arrays) != 2 * n:
-            raise ValueError(f"expected {2 * n} state arrays, got {len(arrays)}")
-        self.m = [np.array(a, dtype=np.float64) for a in arrays[:n]]
-        self.v = [np.array(a, dtype=np.float64) for a in arrays[n:]]
-        self.step_count = int(step_count)
-
 
 def clip_grad_norm(params, max_norm: float) -> float:
     """Rescale grads so their global L2 norm is at most ``max_norm``.

@@ -171,8 +171,9 @@ class ReplayBuffer:
         if n > self.capacity or any(k < 1 for k in lengths):
             raise ValueError(f"episode lengths {lengths} do not fit a buffer of {self.capacity} records")
         for name, values in self._records.items():
-            if arrays[name].shape != values[:n].shape:
-                raise ValueError(f"stored {name} has shape {arrays[name].shape}, expected {values[:n].shape}")
+            stored, rows = arrays[name], values[:n]
+            if (stored.shape, stored.dtype) != (rows.shape, rows.dtype):
+                raise ValueError(f"{name} is {stored.dtype}{stored.shape}, not {rows.dtype}{rows.shape}")
         for name, values in self._records.items():
             values[:n] = arrays[name]
         self._count = n

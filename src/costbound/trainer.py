@@ -46,7 +46,7 @@ METRICS_HEADER = "step,reward_mean,cost_mean,lambda,alpha,model_loss,q1_loss,q2_
 # scalar run state that checkpoints carry in their JSON header as is
 _STATE_FIELDS = (
     "phase", "env_step", "warmup_collected", "warmup_model_done", "grad_accum",
-    "ep_reward", "ep_cost", "eval_next", "ckpt_next", "metrics_rows",
+    "ep_reward", "ep_cost", "eval_next", "ckpt_next", "metrics_rows", "loss_sums", "loss_counts",
 )
 
 
@@ -110,28 +110,6 @@ def load_metrics(path) -> np.ndarray:
     if len(rows) == 1:
         return np.empty((0, 10))
     return np.array([[float(v) for v in row.split(",")] for row in rows[1:]])
-
-
-def _jsonable(value):
-    if isinstance(value, np.ndarray):
-        return {"__array__": value.tolist()}
-    if isinstance(value, dict):
-        return {k: _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (np.bool_, bool)):
-        return bool(value)
-    if isinstance(value, (np.integer, int)):
-        return int(value)
-    if isinstance(value, (np.floating, float)):
-        return float(value)
-    return value
-
-
-def _from_jsonable(value):
-    if isinstance(value, dict):
-        if "__array__" in value and len(value) == 1:
-            return np.array(value["__array__"], dtype=np.float64)
-        return {k: _from_jsonable(v) for k, v in value.items()}
-    return value
 
 
 class Trainer:
@@ -210,8 +188,8 @@ class Trainer:
         self.eval_next = cfg.eval_interval
         self.ckpt_next = cfg.checkpoint_interval if cfg.checkpoint_interval else None
         self.metrics_rows: list[str] = []
-        self._loss_sums = {"model": 0.0, "q1": 0.0, "q2": 0.0, "qc": 0.0, "policy": 0.0}
-        self._loss_counts = {"model": 0, "ac": 0}
+        self.loss_sums = {"model": 0.0, "q1": 0.0, "q2": 0.0, "qc": 0.0, "policy": 0.0}
+        self.loss_counts = {"model": 0, "ac": 0}
         self.z1 = None
         self.z2 = None
         self.obs = self.env.reset(seed=env_seed)
@@ -333,8 +311,8 @@ class Trainer:
             raise
         self._apply(self.opt_model, loss)
         value = loss.item()
-        self._loss_sums["model"] += value
-        self._loss_counts["model"] += 1
+        self.loss_sums["model"] += value
+        self.loss_counts["model"] += 1
         return value
 
     def _gradient_step(self):
@@ -383,8 +361,8 @@ class Trainer:
         ema_update(self.qc_target.parameters(), self.qc.parameters(), nu)
 
         for key, loss in (("q1", l1), ("q2", l2), ("qc", lc), ("policy", pi_loss)):
-            self._loss_sums[key] += loss.item()
-        self._loss_counts["ac"] += 1
+            self.loss_sums[key] += loss.item()
+        self.loss_counts["ac"] += 1
 
     def _apply(self, opt: Adam, loss: Tensor):
         """One clipped optimizer step on ``loss``. A non-finite loss or
@@ -446,8 +424,8 @@ class Trainer:
 
     def _record_metrics(self, reward_mean: float, cost_mean: float):
         def mean_of(key, count_key):
-            count = self._loss_counts[count_key]
-            return self._loss_sums[key] / count if count else float("nan")
+            count = self.loss_counts[count_key]
+            return self.loss_sums[key] / count if count else float("nan")
 
         values = [
             reward_mean,
@@ -462,8 +440,8 @@ class Trainer:
         ]
         row = ",".join([str(self.env_step)] + [repr(float(v)) for v in values])
         self.metrics_rows.append(row)
-        self._loss_sums = {k: 0.0 for k in self._loss_sums}
-        self._loss_counts = {k: 0 for k in self._loss_counts}
+        self.loss_sums = {k: 0.0 for k in self.loss_sums}
+        self.loss_counts = {k: 0 for k in self.loss_counts}
         self._flush_metrics()
 
     def _flush_metrics(self):
@@ -493,18 +471,6 @@ class Trainer:
             while self.ckpt_next <= self.env_step:
                 self.ckpt_next += self.cfg.checkpoint_interval
 
-    def _param_groups(self) -> dict:
-        return {
-            "model": self.model.parameters(),
-            "actor": self.actor.parameters(),
-            "q1": self.q1.parameters(),
-            "q2": self.q2.parameters(),
-            "qc": self.qc.parameters(),
-            "q1_target": self.q1_target.parameters(),
-            "q2_target": self.q2_target.parameters(),
-            "qc_target": self.qc_target.parameters(),
-        }
-
     def _optimizers(self) -> dict:
         return {
             "model": self.opt_model,
@@ -515,22 +481,26 @@ class Trainer:
             "alpha": self.temperature.optimizer,
         }
 
-    def save(self, path) -> Path:
+    def _arrays(self) -> dict:
+        """Every checkpoint array but the replay buffer's, by name, as the
+        live ndarray that holds it: ``save`` writes these and ``restore``
+        fills them in place."""
         arrays = {}
-        for group, params in self._param_groups().items():
-            for i, p in enumerate(params):
+        for group in ("model", "actor", "q1", "q2", "qc", "q1_target", "q2_target", "qc_target"):
+            for i, p in enumerate(getattr(self, group).parameters()):
                 arrays[f"params/{group}/{i:03d}"] = p.data
-        opt_steps = {}
         for name, opt in self._optimizers().items():
-            opt_steps[name] = opt.step_count
             for i, arr in enumerate(opt.state_arrays()):
                 arrays[f"opt/{name}/{i:03d}"] = arr
         arrays["log_alpha"] = self.temperature.log_alpha.data
         arrays["state/obs"] = self.obs
-        has_filter = self.z1 is not None
-        if has_filter:
+        if self.z1 is not None:
             arrays["state/z1"] = self.z1
             arrays["state/z2"] = self.z2
+        return arrays
+
+    def save(self, path) -> Path:
+        arrays = self._arrays()
         buffer_meta, buffer_arrays = self.buffer.state()
         for name, arr in buffer_arrays.items():
             arrays[f"buffer/{name}"] = arr
@@ -539,12 +509,10 @@ class Trainer:
             "state_version": self.CHECKPOINT_STATE_VERSION,
             "config": self.cfg.to_dict(),
             "lagrange_lam": self.lagrange.lam,
-            "has_filter": has_filter,
-            "loss_sums": self._loss_sums,
-            "loss_counts": self._loss_counts,
-            "opt_steps": opt_steps,
+            "has_filter": self.z1 is not None,
+            "opt_steps": {name: opt.step_count for name, opt in self._optimizers().items()},
             "rngs": {name: _rng_state_to_meta(rng) for name, rng in self.rngs.items()},
-            "env_state": _jsonable(self.env.get_state()),
+            "env_state": self.env.get_state(),
             "buffer_meta": buffer_meta,
         })
         save_checkpoint(path, meta, arrays)
@@ -552,40 +520,37 @@ class Trainer:
 
     @classmethod
     def restore(cls, path, out_dir) -> "Trainer":
+        """A trainer built from the checkpoint's config, with every array
+        of the checkpoint copied into the one that it constructed."""
         meta, arrays = load_checkpoint(path)
         if meta.get("state_version") != cls.CHECKPOINT_STATE_VERSION:
             raise CheckpointError(f"unsupported trainer state version {meta.get('state_version')}")
         cfg = TrainConfig.from_dict(meta["config"])
         trainer = cls(cfg, out_dir)
-        for group, params in trainer._param_groups().items():
-            for i, p in enumerate(params):
-                stored = arrays[f"params/{group}/{i:03d}"]
-                if stored.shape != p.data.shape:
-                    raise CheckpointError(
-                        f"shape mismatch for {group}[{i}]: {stored.shape} vs {p.data.shape}"
-                    )
-                p.data = stored.astype(np.float64)
-        for name, opt in trainer._optimizers().items():
-            count = 2 * len(opt.params)
-            opt.load_state_arrays(
-                [arrays[f"opt/{name}/{i:03d}"] for i in range(count)], meta["opt_steps"][name]
-            )
-        trainer.temperature.log_alpha.data = arrays["log_alpha"].astype(np.float64)
-        trainer.lagrange.lam = float(meta["lagrange_lam"])
-        trainer.obs = arrays["state/obs"].astype(np.float64)
         if meta["has_filter"]:
-            trainer.z1 = arrays["state/z1"].astype(np.float64)
-            trainer.z2 = arrays["state/z2"].astype(np.float64)
-        else:
-            trainer.z1 = trainer.z2 = None
-        trainer.buffer.load_state(
-            meta["buffer_meta"], {k.split("/", 1)[1]: v for k, v in arrays.items() if k.startswith("buffer/")}
-        )
+            trainer.z1, trainer.z2 = np.empty(cfg.z1_size), np.empty(cfg.z2_size)
+        table = trainer._arrays()
+        # the empty ring's state() names the buffer's arrays
+        expected = set(table) | {f"buffer/{name}" for name in trainer.buffer.state()[1]}
+        if set(arrays) != expected:
+            missing, extra = sorted(expected - set(arrays)), sorted(set(arrays) - expected)
+            raise CheckpointError(f"checkpoint arrays missing {missing}, unexpected {extra}")
+        for name, live in table.items():
+            stored = arrays[name]
+            if (stored.shape, stored.dtype) != (live.shape, live.dtype):
+                raise CheckpointError(f"{name} is {stored.dtype}{stored.shape}, not {live.dtype}{live.shape}")
+            live[...] = stored
+        buffer = {name.split("/", 1)[1]: arr for name, arr in arrays.items() if name.startswith("buffer/")}
+        try:
+            trainer.buffer.load_state(meta["buffer_meta"], buffer)
+        except ValueError as err:
+            raise CheckpointError(f"replay buffer: {err}") from err
+        for name, opt in trainer._optimizers().items():
+            opt.step_count = meta["opt_steps"][name]
+        trainer.lagrange.lam = meta["lagrange_lam"]
         for name in trainer.rngs:
             trainer.rngs[name] = _rng_from_meta(meta["rngs"][name])
-        trainer.env.set_state(_from_jsonable(meta["env_state"]))
+        trainer.env.set_state(meta["env_state"])
         for name in _STATE_FIELDS:
             setattr(trainer, name, meta[name])
-        trainer._loss_sums = {k: float(v) for k, v in meta["loss_sums"].items()}
-        trainer._loss_counts = {k: int(v) for k, v in meta["loss_counts"].items()}
         return trainer

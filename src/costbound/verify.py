@@ -190,16 +190,16 @@ class _TableActor:
     (the actor keeps its own stream)."""
 
     def __init__(self, table: np.ndarray, rng: np.random.Generator):
-        self.table = np.asarray(table, dtype=np.float64)
+        self.cdf = np.cumsum(table, axis=1)
+        self.cdf /= self.cdf[:, -1:]  # as Generator.choice normalises it
         self.rng = rng
-        self.num_actions = self.table.shape[1]
+        self.num_actions = self.cdf.shape[1]
 
     def sample(self, z: Tensor, noise):
         states = np.argmax(z.data, axis=1)
         actions = np.zeros((z.data.shape[0], self.num_actions))
         for i, s in enumerate(states):
-            j = self.rng.choice(self.num_actions, p=self.table[s])
-            actions[i, j] = 1.0
+            actions[i, self.cdf[s].searchsorted(self.rng.random(), side="right")] = 1.0
         return Tensor(actions), Tensor(np.zeros(z.data.shape[0]))
 
 
@@ -275,10 +275,12 @@ def run_tabular_suite(seed: int = 0) -> dict:
     v0 = float(policy[0] @ q[0])
     env = TabularChainEnv(ChainEnvConfig(m, episode_limit=300, seed=seed))
     rng = np.random.default_rng(seed + 2)
+    cdf = np.cumsum(policy, axis=1)
+    cdf /= cdf[:, -1:]  # as Generator.choice normalises it
 
     def act(obs):
         s = int(round(obs[0, 0, 0] * (m.num_states - 1)))
-        return int(rng.choice(m.num_actions, p=policy[s]))
+        return int(cdf[s].searchsorted(rng.random(), side="right"))
 
     mean, se = mc_return(env, act, episodes=3000, discount=0.95, signal="cost", seed=seed + 3)
     results["mc_vs_policy_eval"] = (mean, v0, abs(mean - v0) <= 3 * se + 1e-9)

@@ -1,0 +1,105 @@
+import hashlib
+import json
+import struct
+
+import numpy as np
+import pytest
+
+from costbound.checkpoint import FORMAT_VERSION, MAGIC, CheckpointError, load_checkpoint, save_checkpoint
+
+
+def write_raw(path, entries, payload: bytes, magic=MAGIC, version=FORMAT_VERSION, header_extra=0):
+    """A checkpoint file with a valid digest around any header and payload;
+    ``header_extra`` is added to the header length it records."""
+    header = json.dumps({"format_version": version, "meta": {}, "arrays": entries}).encode()
+    body = magic + struct.pack("<IQ", version, len(header) + header_extra) + header + payload
+    path.write_bytes(body + hashlib.sha256(body).digest())
+    return path
+
+
+def entry(name, dtype, shape, offset):
+    return {"name": name, "dtype": dtype, "shape": shape, "offset": offset}
+
+
+def small_checkpoint(path):
+    arrays = {"f": np.arange(6.0).reshape(2, 3), "u": np.arange(4, dtype=np.uint8)}
+    save_checkpoint(path, {"step": 7}, arrays)
+    return path
+
+
+def test_round_trip_keeps_arrays_and_header_values(tmp_path):
+    arrays = {
+        "f": np.arange(6.0).reshape(2, 3),
+        "u": np.arange(4, dtype=np.uint8),
+        "i": np.array([-3]),
+        "b": np.array([True, False]),
+        "empty": np.zeros((0, 2)),
+    }
+    meta = {"pos": np.array([0.5, 1.5]), "hazards": np.zeros((0, 2)), "steps": 7, "nested": {"x": [1, 2]}}
+    save_checkpoint(tmp_path / "a.ckpt", meta, arrays)
+    got_meta, got = load_checkpoint(tmp_path / "a.ckpt")
+    assert got.keys() == arrays.keys()
+    for name, value in arrays.items():
+        assert got[name].dtype == value.dtype and np.array_equal(got[name], value), name
+        assert not got[name].flags.writeable
+    assert got_meta["pos"].dtype == np.float64 and np.array_equal(got_meta["pos"], meta["pos"])
+    assert got_meta["hazards"].size == 0
+    assert (got_meta["steps"], got_meta["nested"]) == (7, {"x": [1, 2]})
+
+
+def test_header_rejects_values_json_cannot_hold(tmp_path):
+    with pytest.raises(TypeError):
+        save_checkpoint(tmp_path / "a.ckpt", {"steps": np.int64(7)}, {})
+    assert not (tmp_path / "a.ckpt").exists()
+
+
+def test_raw_writer_makes_a_loadable_file(tmp_path):
+    path = write_raw(tmp_path / "ok.ckpt", [entry("a", "f8", [1], 0), entry("b", "u1", [2], 8)], bytes(10))
+    _, arrays = load_checkpoint(path)
+    assert arrays["a"].shape == (1,) and arrays["b"].shape == (2,)
+
+
+BAD_PAYLOADS = {
+    "entry overruns the payload": ([entry("a", "f8", [3], 0)], 16),
+    "trailing bytes": ([entry("a", "f8", [2], 0)], 24),
+    "unknown dtype": ([entry("a", "c16", [1], 0)], 16),
+    "gap between arrays": ([entry("a", "f8", [1], 0), entry("b", "f8", [1], 16)], 24),
+}
+
+
+@pytest.mark.parametrize("entries, payload_len", BAD_PAYLOADS.values(), ids=BAD_PAYLOADS.keys())
+def test_load_rejects_a_payload_that_its_entries_do_not_pack(tmp_path, entries, payload_len):
+    path = write_raw(tmp_path / "bad.ckpt", entries, bytes(payload_len))
+    with pytest.raises(CheckpointError):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize(
+    "magic, version, header_extra",
+    [(b"NOTCKPT\x00", FORMAT_VERSION, 0), (MAGIC, FORMAT_VERSION + 1, 0), (MAGIC, FORMAT_VERSION, 100)],
+    ids=["bad magic", "bad version", "header length past the end"],
+)
+def test_load_rejects_bad_framing(tmp_path, magic, version, header_extra):
+    path = write_raw(tmp_path / "bad.ckpt", [], b"", magic=magic, version=version, header_extra=header_extra)
+    with pytest.raises(CheckpointError):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize(
+    "keep", [lambda n: 20, lambda n: n // 2, lambda n: n - 1], ids=["20 bytes", "half", "all but one"]
+)
+def test_load_rejects_a_truncated_file(tmp_path, keep):
+    data = small_checkpoint(tmp_path / "a.ckpt").read_bytes()
+    (tmp_path / "a.ckpt").write_bytes(data[: keep(len(data))])
+    with pytest.raises(CheckpointError):
+        load_checkpoint(tmp_path / "a.ckpt")
+
+
+@pytest.mark.parametrize("where", ["magic", "header", "payload", "digest"])
+def test_load_rejects_a_flipped_bit(tmp_path, where):
+    data = bytearray(small_checkpoint(tmp_path / "a.ckpt").read_bytes())
+    index = {"magic": 2, "header": len(MAGIC) + 20, "payload": len(data) - 40, "digest": len(data) - 1}[where]
+    data[index] ^= 0x10
+    (tmp_path / "a.ckpt").write_bytes(bytes(data))
+    with pytest.raises(CheckpointError):
+        load_checkpoint(tmp_path / "a.ckpt")

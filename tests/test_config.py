@@ -1,0 +1,74 @@
+import dataclasses
+import tempfile
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from costbound.config import TrainConfig, load_config, save_config
+
+DESK = Path(__file__).resolve().parent.parent / "configs" / "desk.cfg"
+
+UNIT = st.floats(min_value=0.0, max_value=1.0, exclude_min=True)
+BY_TYPE = {
+    "int": st.integers(1, 1000),
+    "float": UNIT,
+    "float | None": st.none() | st.floats(-1e3, 1e3),
+    "bool": st.booleans(),
+    "tuple": st.tuples(st.integers(1, 64), st.integers(1, 64)),
+}
+BY_NAME = {
+    "env": st.just("hazardworld"),
+    "encoder": st.sampled_from(["auto", "conv", "mlp"]),
+    "lambda_lr": UNIT,
+    # holds a full episode at any drawn episode_limit and action_repeat
+    "replay_capacity": st.integers(10**6, 10**7),
+}
+VALID_CONFIGS = st.builds(TrainConfig, **{
+    f.name: BY_NAME[f.name] if f.name in BY_NAME else BY_TYPE[f.type] for f in dataclasses.fields(TrainConfig)
+})
+
+
+def desk_with(tmp_path, line: str, drop: str | None = None) -> Path:
+    """desk.cfg with ``line`` appended and any line setting ``drop`` left out."""
+    lines = [l for l in DESK.read_text().splitlines() if drop is None or not l.startswith(f"{drop} ")]
+    path = tmp_path / "run.cfg"
+    path.write_text("\n".join(lines + [line]) + "\n")
+    return path
+
+
+@settings(max_examples=60, deadline=None)
+@given(VALID_CONFIGS)
+def test_save_then_load_returns_an_equal_config(cfg):
+    with tempfile.TemporaryDirectory() as scratch:
+        path = Path(scratch) / "run.cfg"
+        save_config(cfg, path)
+        assert load_config(path) == cfg
+
+
+def test_unknown_key_is_rejected(tmp_path):
+    with pytest.raises(ValueError, match="unknown config key"):
+        load_config(desk_with(tmp_path, "model_lrr = 0.001"))
+
+
+def test_missing_lambda_lr_is_rejected(tmp_path):
+    with pytest.raises(ValueError, match="lambda_lr"):
+        load_config(desk_with(tmp_path, "", drop="lambda_lr"))
+
+
+@pytest.mark.parametrize("encoder", ["auto", "conv", "mlp"])
+def test_known_encoders_are_accepted(encoder):
+    assert load_config(DESK, overrides={"encoder": encoder}).encoder == encoder
+
+
+@pytest.mark.parametrize("encoder", ["convv", "", "MLP"])
+def test_unknown_encoder_is_rejected(encoder):
+    with pytest.raises(ValueError, match="encoder"):
+        load_config(DESK, overrides={"encoder": encoder})
+
+
+@pytest.mark.parametrize("name", ["model_lr", "arena_size", "cost_budget", "target_entropy"])
+def test_nan_is_rejected(tmp_path, name):
+    with pytest.raises(ValueError, match=name):
+        load_config(desk_with(tmp_path, f"{name} = nan", drop=name))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import costbound as cb
-from costbound.checkpoint import load_checkpoint
+from costbound.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from costbound.latent import NonFiniteLossError
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -41,12 +41,8 @@ def test_non_finite_critic_leaves_the_diagnostic_checkpoint_as_before_the_step(t
     trainer = cb.Trainer(short_config(total_env_steps=70, checkpoint_interval=0), tmp_path)
     trainer.run()
     trainer.q1.parameters()[0].data[0, 0] = np.nan
-    groups = trainer._param_groups()
-    before = {f"params/{g}/{i:03d}": p.data.copy() for g, ps in groups.items() for i, p in enumerate(ps)}
-    steps = {}
-    for name, opt in trainer._optimizers().items():
-        steps[name] = opt.step_count
-        before.update({f"opt/{name}/{i:03d}": a.copy() for i, a in enumerate(opt.state_arrays())})
+    before = {name: arr.copy() for name, arr in trainer._arrays().items()}
+    steps = {name: opt.step_count for name, opt in trainer._optimizers().items()}
     with pytest.raises(NonFiniteLossError):
         trainer._gradient_step()
     meta, arrays = load_checkpoint(tmp_path / "diagnostic.ckpt")
@@ -54,3 +50,39 @@ def test_non_finite_critic_leaves_the_diagnostic_checkpoint_as_before_the_step(t
     for key, value in before.items():
         assert np.array_equal(arrays[key], value, equal_nan=True), key
     assert np.isnan(arrays["params/q1/000"]).sum() == 1
+
+
+@pytest.fixture(scope="module")
+def main_phase_checkpoint(tmp_path_factory):
+    """The final checkpoint of a run that ends in the main phase, with the filter live."""
+    return cb.Trainer(short_config(total_env_steps=70, checkpoint_interval=0), tmp_path_factory.mktemp("run")).run()
+
+
+def test_restore_fills_the_constructed_trainer_and_saves_the_same_bytes(main_phase_checkpoint, tmp_path):
+    _, arrays = load_checkpoint(main_phase_checkpoint)
+    restored = cb.Trainer.restore(main_phase_checkpoint, tmp_path)
+    table = restored._arrays()
+    assert "state/z1" in table and set(arrays) - set(table) == {n for n in arrays if n.startswith("buffer/")}
+    for name, arr in table.items():
+        assert arr.flags.writeable and np.array_equal(arr, arrays[name]), name
+    assert restored.save(tmp_path / "again.ckpt").read_bytes() == main_phase_checkpoint.read_bytes()
+
+
+MISMATCHES = {
+    "missing array": lambda a: a.pop("params/q1/000"),
+    "missing buffer array": lambda a: a.pop("buffer/rew"),
+    "extra array": lambda a: a.update({"params/q1/999": np.zeros(3)}),
+    "shape mismatch": lambda a: a.update({"params/model/000": a["params/model/000"][:1]}),
+    "dtype mismatch": lambda a: a.update({"opt/q1/000": a["opt/q1/000"].astype(np.int64)}),
+    "buffer dtype mismatch": lambda a: a.update({"buffer/rew": a["buffer/rew"].astype(np.int64)}),
+}
+
+
+@pytest.mark.parametrize("edit", MISMATCHES.values(), ids=MISMATCHES.keys())
+def test_restore_rejects_arrays_that_do_not_match_the_trainer(main_phase_checkpoint, tmp_path, edit):
+    meta, arrays = load_checkpoint(main_phase_checkpoint)
+    arrays = dict(arrays)
+    edit(arrays)
+    save_checkpoint(tmp_path / "bad.ckpt", meta, arrays)
+    with pytest.raises(CheckpointError):
+        cb.Trainer.restore(tmp_path / "bad.ckpt", tmp_path / "out")
