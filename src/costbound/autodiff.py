@@ -423,7 +423,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ValueError("matmul expects 2-D operands")
 
     def vjp(g):
-        return g @ b.data.T, a.data.T @ g
+        return (g @ b.data.T if a.requires_grad else None, a.data.T @ g if b.requires_grad else None)
 
     return _node(a.data @ b.data, (a, b), vjp)
 
@@ -436,62 +436,105 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     if b is not None:
         out_data = out_data + b.data
 
-    if b is None:
-        def vjp(g):
-            return g @ w.data.T, x.data.T @ g
-
-        return _node(out_data, (x, w), vjp)
-
     def vjp(g):
-        return g @ w.data.T, x.data.T @ g, g.sum(axis=0)
+        gx = g @ w.data.T if x.requires_grad else None
+        gw = x.data.T @ g if w.requires_grad else None
+        return gx, gw, g.sum(axis=0) if b is not None and b.requires_grad else None
 
-    return _node(out_data, (x, w, b), vjp)
+    return _node(out_data, (x, w) if b is None else (x, w, b), vjp)
 
 
 # -- 2-D convolution ----------------------------------------------------------
+#
+# Both convolutions and their vjps run on two kernels: _gather (im2col)
+# multiplies every kernel window by a weight matrix, and _scatter (col2im)
+# scatter-adds channels @ weight back over the windows. Each walks blocks of
+# whole frames through a small zero-padded buffer, so the working set stays in
+# cache and no full-batch padded copy is built. The results equal a
+# whole-batch im2col bit for bit: window columns stay in (C, kh, kw) order,
+# every output element adds its taps in (u, v) order from zero, and work is
+# split only across GEMM rows, never along K. The kernels hand out
+# channels-first memory only, because numpy reductions downstream (bias
+# gradients, losses) sum in memory order.
+
+_BLOCK_BYTES = 1 << 20
 
 
-def _conv_windows(x: np.ndarray, kh: int, kw: int, stride: int, pad: int) -> np.ndarray:
-    """Strided view of all kernel-sized windows: [N, Ho, Wo, C, kh, kw]."""
-    if pad:
-        x = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
-    win = np.lib.stride_tricks.sliding_window_view(x, (kh, kw), axis=(2, 3))
-    win = win[:, :, ::stride, ::stride]
-    return win.transpose(0, 2, 3, 1, 4, 5)
+def _blocks(n: int, frame_bytes: int):
+    """(start, stop) ranges splitting n frames into near-equal blocks of at
+    most about _BLOCK_BYTES each. No block is a small remainder: BLAS may
+    run a much smaller GEMM on a kernel that sums in another order."""
+    count = min(n, -(-n * frame_bytes // _BLOCK_BYTES))
+    for i in range(count):
+        yield n * i // count, n * (i + 1) // count
+
+
+def _gather(x: np.ndarray, w_cols: np.ndarray, grid, kh: int, kw: int, stride: int, pad: int, keep: bool):
+    """Every kh x kw window of ``x`` [N,C,H,W], zero-padded by ``pad``, at
+    ``grid`` positions ``stride`` apart, times ``w_cols`` [C*kh*kw, O].
+
+    Returns the product [N,O,*grid] and, if ``keep``, the window rows
+    [N*gh*gw, C*kh*kw] (else None).
+    """
+    n, c, h, wdt = x.shape
+    gh, gw = grid
+    per = gh * gw
+    out = np.empty((n, w_cols.shape[1], gh, gw))
+    cols = np.empty((n * per, c * kh * kw)) if keep else None
+    for f0, f1 in _blocks(n, per * c * kh * kw * 8):
+        buf = np.zeros((f1 - f0, c, h + 2 * pad, wdt + 2 * pad))
+        buf[:, :, pad : pad + h, pad : pad + wdt] = x[f0:f1]
+        rows = cols[f0 * per : f1 * per] if keep else np.empty(((f1 - f0) * per, c * kh * kw))
+        win = rows.reshape(f1 - f0, gh, gw, c, kh, kw)
+        for u in range(kh):
+            for v in range(kw):
+                taps = buf[:, :, u : u + stride * gh : stride, v : v + stride * gw : stride]
+                win[:, :, :, :, u, v] = taps.transpose(0, 2, 3, 1)
+        out[f0:f1] = (rows @ w_cols).reshape(f1 - f0, gh, gw, -1).transpose(0, 3, 1, 2)
+    return out, cols
+
+
+def _scatter(y: np.ndarray, w: np.ndarray, out_shape, kh: int, kw: int, stride: int, pad: int):
+    """Scatter-add, at every position of ``y`` [N,R,gh,gw], its R channels
+    times ``w`` [R, C*kh*kw] over the kh x kw window at that position of an
+    output ``out_shape`` [N,C,H,W] zero-padded by ``pad``; the adjoint of
+    _gather's windowing."""
+    n, c, h, wdt = out_shape
+    _, r, gh, gw = y.shape
+    out = np.empty(out_shape)
+    for f0, f1 in _blocks(n, gh * gw * w.shape[1] * 8):
+        rows = y[f0:f1].transpose(0, 2, 3, 1).reshape(-1, r)
+        prod = (rows @ w).reshape(f1 - f0, gh, gw, c, kh, kw)
+        buf = np.zeros((f1 - f0, c, h + 2 * pad, wdt + 2 * pad))
+        for u in range(kh):
+            for v in range(kw):
+                buf[:, :, u : u + stride * gh : stride, v : v + stride * gw : stride] += (
+                    prod[:, :, :, :, u, v].transpose(0, 3, 1, 2)
+                )
+        out[f0:f1] = buf[:, :, pad : pad + h, pad : pad + wdt]
+    return out
 
 
 def conv2d(x: Tensor, w: Tensor, b: Tensor | None, stride: int = 1, pad: int = 0) -> Tensor:
     """2-D cross-correlation. x: [N,C,H,W], w: [O,C,kh,kw], b: [O]."""
-    n, c, h, wdt = x.data.shape
+    _, c, h, wdt = x.data.shape
     o, c2, kh, kw = w.data.shape
     if c != c2:
         raise ValueError(f"conv2d channel mismatch: input {c}, kernel {c2}")
-    ho = (h + 2 * pad - kh) // stride + 1
-    wo = (wdt + 2 * pad - kw) // stride + 1
-    cols = np.ascontiguousarray(_conv_windows(x.data, kh, kw, stride, pad)).reshape(
-        n * ho * wo, c * kh * kw
-    )
+    grid = ((h + 2 * pad - kh) // stride + 1, (wdt + 2 * pad - kw) // stride + 1)
     w_flat = w.data.reshape(o, -1)
-    out_data = cols @ w_flat.T
+    # the window rows are kept only for a weight gradient the tape will ask for
+    out_data, cols = _gather(x.data, w_flat.T, grid, kh, kw, stride, pad, _grad_enabled and w.requires_grad)
     if b is not None:
-        out_data = out_data + b.data
-    out_data = out_data.reshape(n, ho, wo, o).transpose(0, 3, 1, 2)
+        out_data += b.data[:, None, None]
 
     def vjp(g):
-        g_cols = g.transpose(0, 2, 3, 1).reshape(n * ho * wo, o)
-        gw = (g_cols.T @ cols).reshape(o, c, kh, kw)
-        gx_cols = g_cols @ w_flat  # [N*Ho*Wo, C*kh*kw]
-        gx_cols = gx_cols.reshape(n, ho, wo, c, kh, kw)
-        gx_pad = np.zeros((n, c, h + 2 * pad, wdt + 2 * pad))
-        for u in range(kh):
-            for v in range(kw):
-                gx_pad[:, :, u : u + stride * ho : stride, v : v + stride * wo : stride] += (
-                    gx_cols[:, :, :, :, u, v].transpose(0, 3, 1, 2)
-                )
-        gx = gx_pad[:, :, pad : pad + h, pad : pad + wdt] if pad else gx_pad
-        if b is None:
-            return gx, gw
-        return gx, gw, g.sum(axis=(0, 2, 3))
+        gx = _scatter(g, w_flat, x.data.shape, kh, kw, stride, pad) if x.requires_grad else None
+        gw = None
+        if w.requires_grad:
+            gw = (g.transpose(0, 2, 3, 1).reshape(-1, o).T @ cols).reshape(w.data.shape)
+        gb = g.sum(axis=(0, 2, 3)) if b is not None and b.requires_grad else None
+        return gx, gw, gb
 
     parents = (x, w) if b is None else (x, w, b)
     return _node(out_data, parents, vjp)
@@ -516,33 +559,20 @@ def conv2d_transpose(
         raise ValueError(f"conv2d_transpose channel mismatch: input {cin}, kernel {cin2}")
     ho = (h - 1) * stride - 2 * pad + kh + out_extra
     wo = (wdt - 1) * stride - 2 * pad + kw + out_extra
-
-    def scatter(data):
-        prod = data.transpose(0, 2, 3, 1).reshape(n * h * wdt, cin) @ w.data.reshape(cin, -1)
-        prod = prod.reshape(n, h, wdt, cout, kh, kw)
-        full = np.zeros((n, cout, ho + 2 * pad + out_extra + stride, wo + 2 * pad + out_extra + stride))
-        for u in range(kh):
-            for v in range(kw):
-                full[:, :, u : u + stride * h : stride, v : v + stride * wdt : stride] += (
-                    prod[:, :, :, :, u, v].transpose(0, 3, 1, 2)
-                )
-        return full[:, :, pad : pad + ho, pad : pad + wo]
-
-    out_data = scatter(x.data)
+    w_flat = w.data.reshape(cin, -1)
+    out_data = _scatter(x.data, w_flat, (n, cout, ho, wo), kh, kw, stride, pad)
     if b is not None:
-        out_data = out_data + b.data[None, :, None, None]
+        out_data += b.data[:, None, None]
 
     def vjp(g):
-        # pad g back out so windows line up with the forward scatter
-        g_win = _conv_windows(g, kh, kw, stride, pad)  # [N, H*, W*, Cout, kh, kw]
-        g_win = g_win[:, :h, :wdt]  # out_extra only ever adds trailing zeros
-        g_win = np.ascontiguousarray(g_win).reshape(n * h * wdt, cout * kh * kw)
-        gx = (g_win @ w.data.reshape(cin, -1).T).reshape(n, h, wdt, cin).transpose(0, 3, 1, 2)
-        x_flat = x.data.transpose(0, 2, 3, 1).reshape(n * h * wdt, cin)
-        gw = (x_flat.T @ g_win).reshape(cin, cout, kh, kw)
-        if b is None:
-            return gx, gw
-        return gx, gw, g.sum(axis=(0, 2, 3))
+        # out_extra only ever adds trailing rows and columns that no window of x reaches
+        gx, g_win = _gather(g, w_flat.T, (h, wdt), kh, kw, stride, pad, w.requires_grad)
+        gw = None
+        if w.requires_grad:
+            x_flat = x.data.transpose(0, 2, 3, 1).reshape(-1, cin)
+            gw = (x_flat.T @ g_win).reshape(w.data.shape)
+        gb = g.sum(axis=(0, 2, 3)) if b is not None and b.requires_grad else None
+        return gx, gw, gb
 
     parents = (x, w) if b is None else (x, w, b)
     return _node(out_data, parents, vjp)

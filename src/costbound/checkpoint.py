@@ -51,7 +51,7 @@ def save_checkpoint(path, meta: dict, arrays: dict):
     offset = 0
     payload = []
     for name in sorted(arrays):
-        arr = np.ascontiguousarray(arrays[name])
+        arr = np.asarray(arrays[name], order="C")  # ascontiguousarray would make a 0-d array 1-d
         code = arr.dtype.str.lstrip("<>|=")
         if code not in _DTYPES:
             raise CheckpointError(f"unsupported dtype {arr.dtype} for array {name!r}")

@@ -196,6 +196,172 @@ def test_conv2d_transpose_matches_finite_differences():
     assert grad_rel_error(b.grad, finite_diff_grad(f_b, b_val)) <= 1e-6
 
 
+# The whole-batch im2col convolutions that the frame-blocked kernels in
+# autodiff replaced, frozen here as the bit-exact reference for them.
+
+
+def _reference_windows(x, kh, kw, stride, pad):
+    if pad:
+        x = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+    win = np.lib.stride_tricks.sliding_window_view(x, (kh, kw), axis=(2, 3))
+    win = win[:, :, ::stride, ::stride]
+    return win.transpose(0, 2, 3, 1, 4, 5)
+
+
+def reference_conv2d(x, w, b, stride, pad):
+    """Output and a vjp returning (gx, gw, gb)."""
+    n, c, h, wdt = x.shape
+    o, _, kh, kw = w.shape
+    ho = (h + 2 * pad - kh) // stride + 1
+    wo = (wdt + 2 * pad - kw) // stride + 1
+    cols = np.ascontiguousarray(_reference_windows(x, kh, kw, stride, pad)).reshape(n * ho * wo, c * kh * kw)
+    w_flat = w.reshape(o, -1)
+    out = (cols @ w_flat.T + b).reshape(n, ho, wo, o).transpose(0, 3, 1, 2)
+
+    def vjp(g):
+        g_cols = g.transpose(0, 2, 3, 1).reshape(n * ho * wo, o)
+        gw = (g_cols.T @ cols).reshape(o, c, kh, kw)
+        gx_cols = (g_cols @ w_flat).reshape(n, ho, wo, c, kh, kw)
+        gx_pad = np.zeros((n, c, h + 2 * pad, wdt + 2 * pad))
+        for u in range(kh):
+            for v in range(kw):
+                gx_pad[:, :, u : u + stride * ho : stride, v : v + stride * wo : stride] += (
+                    gx_cols[:, :, :, :, u, v].transpose(0, 3, 1, 2)
+                )
+        gx = gx_pad[:, :, pad : pad + h, pad : pad + wdt] if pad else gx_pad
+        return gx, gw, g.sum(axis=(0, 2, 3))
+
+    return out, vjp
+
+
+def reference_conv2d_transpose(x, w, b, stride, pad, out_extra):
+    """Output and a vjp returning (gx, gw, gb)."""
+    n, cin, h, wdt = x.shape
+    _, cout, kh, kw = w.shape
+    ho = (h - 1) * stride - 2 * pad + kh + out_extra
+    wo = (wdt - 1) * stride - 2 * pad + kw + out_extra
+    prod = x.transpose(0, 2, 3, 1).reshape(n * h * wdt, cin) @ w.reshape(cin, -1)
+    prod = prod.reshape(n, h, wdt, cout, kh, kw)
+    full = np.zeros((n, cout, ho + 2 * pad + out_extra + stride, wo + 2 * pad + out_extra + stride))
+    for u in range(kh):
+        for v in range(kw):
+            full[:, :, u : u + stride * h : stride, v : v + stride * wdt : stride] += (
+                prod[:, :, :, :, u, v].transpose(0, 3, 1, 2)
+            )
+    out = full[:, :, pad : pad + ho, pad : pad + wo] + b[None, :, None, None]
+
+    def vjp(g):
+        g_win = _reference_windows(g, kh, kw, stride, pad)[:, :h, :wdt]
+        g_win = np.ascontiguousarray(g_win).reshape(n * h * wdt, cout * kh * kw)
+        gx = (g_win @ w.reshape(cin, -1).T).reshape(n, h, wdt, cin).transpose(0, 3, 1, 2)
+        x_flat = x.transpose(0, 2, 3, 1).reshape(n * h * wdt, cin)
+        gw = (x_flat.T @ g_win).reshape(cin, cout, kh, kw)
+        return gx, gw, g.sum(axis=(0, 2, 3))
+
+    return out, vjp
+
+
+# (op, x shape, w shape, keyword arguments)
+_CONV_CASES = {
+    "desk_conv1": ("conv2d", (3, 3, 16, 16), (8, 3, 3, 3), dict(stride=2, pad=1)),
+    "desk_conv2": ("conv2d", (3, 8, 8, 8), (16, 8, 3, 3), dict(stride=2, pad=1)),
+    "desk_deconv1": ("conv2d_transpose", (3, 16, 4, 4), (16, 8, 3, 3), dict(stride=2, pad=1, out_extra=1)),
+    "desk_deconv2": ("conv2d_transpose", (3, 8, 8, 8), (8, 3, 3, 3), dict(stride=2, pad=1, out_extra=1)),
+    "full_conv1": ("conv2d", (2, 3, 64, 64), (32, 3, 3, 3), dict(stride=2, pad=1)),
+    "full_conv2": ("conv2d", (2, 32, 32, 32), (64, 32, 3, 3), dict(stride=2, pad=1)),
+    "full_deconv1": ("conv2d_transpose", (2, 64, 16, 16), (64, 32, 3, 3), dict(stride=2, pad=1, out_extra=1)),
+    "full_deconv2": ("conv2d_transpose", (2, 32, 32, 32), (32, 3, 3, 3), dict(stride=2, pad=1, out_extra=1)),
+    "conv_stride1_pad0": ("conv2d", (2, 3, 7, 6), (4, 3, 3, 3), dict(stride=1, pad=0)),
+    "conv_k2_stride3_pad2": ("conv2d", (2, 3, 7, 6), (4, 3, 2, 2), dict(stride=3, pad=2)),
+    "deconv_stride1_pad0": ("conv2d_transpose", (2, 3, 4, 5), (3, 4, 3, 3), dict(stride=1, pad=0, out_extra=0)),
+    "deconv_k2_stride3_pad2": ("conv2d_transpose", (2, 3, 4, 5), (3, 4, 2, 2), dict(stride=3, pad=2, out_extra=1)),
+    "deconv_k2_stride3_pad2_extra0": (
+        "conv2d_transpose", (2, 3, 4, 5), (3, 4, 2, 2), dict(stride=3, pad=2, out_extra=0)
+    ),
+    "conv_n1": ("conv2d", (1, 8, 8, 8), (16, 8, 3, 3), dict(stride=2, pad=1)),
+    "deconv_n1": ("conv2d_transpose", (1, 16, 4, 4), (16, 8, 3, 3), dict(stride=2, pad=1, out_extra=1)),
+}
+_REFERENCES = {"conv2d": reference_conv2d, "conv2d_transpose": reference_conv2d_transpose}
+
+
+def _conv_outputs(op, x_val, w_val, b_val, g, x_grad=True, **kw):
+    x = Tensor(x_val, requires_grad=x_grad)
+    w = Tensor(w_val, requires_grad=True)
+    b = Tensor(b_val, requires_grad=True)
+    out = getattr(ad, op)(x, w, b, **kw)
+    return out.data, out._vjp(g)
+
+
+def _assert_matches_reference(op, x_shape, w_shape, kw, seed):
+    rng = np.random.default_rng(seed)
+    x_val, w_val = rng.normal(size=x_shape), rng.normal(size=w_shape)
+    b_val = rng.normal(size=w_shape[0] if op == "conv2d" else w_shape[1])
+    ref_out, ref_vjp = _REFERENCES[op](x_val, w_val, b_val, **kw)
+    g = rng.normal(size=ref_out.shape)
+    out, grads = _conv_outputs(op, x_val, w_val, b_val, g, **kw)
+    for got, want in zip((out, *grads), (ref_out, *ref_vjp(g))):
+        assert got.shape == want.shape and np.array_equal(got, want)
+        assert list(got.strides) == sorted(got.strides, reverse=True)  # channels-first memory
+
+
+@pytest.mark.parametrize("case", sorted(_CONV_CASES))
+def test_conv_kernels_match_the_whole_batch_reference_bitwise(case):
+    op, x_shape, w_shape, kw = _CONV_CASES[case]
+    _assert_matches_reference(op, x_shape, w_shape, kw, seed=sorted(_CONV_CASES).index(case))
+
+
+@pytest.mark.parametrize("case", ["full_conv1", "full_conv2", "full_deconv1", "full_deconv2"])
+def test_conv_kernels_split_into_frame_blocks_stay_bitwise(case, monkeypatch):
+    # 5 frames make 2 uneven blocks at 3 channels and 5 one-frame blocks at
+    # 32 or 64. Each block's GEMM stays above the size below which OpenBLAS
+    # may switch to its small-matrix kernel, which sums in another order.
+    monkeypatch.setattr(ad, "_BLOCK_BYTES", 600_000)
+    op, x_shape, w_shape, kw = _CONV_CASES[case]
+    _assert_matches_reference(op, (5, *x_shape[1:]), w_shape, kw, seed=11)
+
+
+def test_conv2d_input_without_grad_gets_no_gradient():
+    rng = np.random.default_rng(12)
+    x_val, w_val, b_val = rng.normal(size=(2, 3, 8, 8)), rng.normal(size=(4, 3, 3, 3)), rng.normal(size=4)
+    ref_out, ref_vjp = reference_conv2d(x_val, w_val, b_val, stride=2, pad=1)
+    g = rng.normal(size=ref_out.shape)
+    gx, gw, gb = _conv_outputs("conv2d", x_val, w_val, b_val, g, x_grad=False, stride=2, pad=1)[1]
+    _, ref_gw, ref_gb = ref_vjp(g)
+    assert gx is None and np.array_equal(gw, ref_gw) and np.array_equal(gb, ref_gb)
+
+
+def test_linear_and_matmul_input_without_grad_gets_no_gradient():
+    rng = np.random.default_rng(12)
+    x_val, w_val, b_val = rng.normal(size=(5, 3)), rng.normal(size=(3, 4)), rng.normal(size=4)
+    g = rng.normal(size=(5, 4))
+    w, b = Tensor(w_val, requires_grad=True), Tensor(b_val, requires_grad=True)
+    gx, gw, gb = ad.linear(Tensor(x_val), w, b)._vjp(g)
+    assert gx is None and np.array_equal(gw, x_val.T @ g) and np.array_equal(gb, g.sum(axis=0))
+    gx, gw = ad.matmul(Tensor(x_val), w)._vjp(g)
+    assert gx is None and np.array_equal(gw, x_val.T @ g)
+
+
+@pytest.mark.parametrize(
+    "case", ["conv_stride1_pad0", "conv_k2_stride3_pad2", "deconv_k2_stride3_pad2", "deconv_k2_stride3_pad2_extra0"]
+)
+def test_conv_kernels_match_finite_differences_at_odd_shapes(case):
+    op, x_shape, w_shape, kw = _CONV_CASES[case]
+    rng = np.random.default_rng(13)
+    vals = [rng.normal(size=(1, *x_shape[1:])), rng.normal(size=w_shape)]
+    vals.append(rng.normal(size=w_shape[0] if op == "conv2d" else w_shape[1]))
+    tensors = [Tensor(v, requires_grad=True) for v in vals]
+    out = getattr(ad, op)(*tensors, **kw)
+    ad.backward((out * out).sum())
+    for i, t in enumerate(tensors):
+
+        def f(v, i=i):
+            args = [Tensor(v if j == i else vals[j]) for j in range(3)]
+            o = getattr(ad, op)(*args, **kw)
+            return (o * o).sum().item()
+
+        assert grad_rel_error(t.grad, finite_diff_grad(f, vals[i])) <= 1e-6
+
+
 def test_conv_transpose_is_adjoint_of_conv():
     # <conv(x, w), y> == <x, convT(y, w)>: same [O,C,k,k] kernel read as [Cin,Cout,k,k]
     rng = np.random.default_rng(3)

@@ -32,6 +32,7 @@ def test_round_trip_keeps_arrays_and_header_values(tmp_path):
         "f": np.arange(6.0).reshape(2, 3),
         "u": np.arange(4, dtype=np.uint8),
         "i": np.array([-3]),
+        "scalar": np.array(2.5),
         "b": np.array([True, False]),
         "empty": np.zeros((0, 2)),
     }
@@ -40,7 +41,8 @@ def test_round_trip_keeps_arrays_and_header_values(tmp_path):
     got_meta, got = load_checkpoint(tmp_path / "a.ckpt")
     assert got.keys() == arrays.keys()
     for name, value in arrays.items():
-        assert got[name].dtype == value.dtype and np.array_equal(got[name], value), name
+        assert got[name].dtype == value.dtype and got[name].shape == value.shape, name
+        assert np.array_equal(got[name], value), name
         assert not got[name].flags.writeable
     assert got_meta["pos"].dtype == np.float64 and np.array_equal(got_meta["pos"], meta["pos"])
     assert got_meta["hazards"].size == 0

@@ -62,3 +62,20 @@ def test_gradcheck_returns_one_when_a_loss_is_broken(monkeypatch, capsys):
     monkeypatch.setattr(verify, "temperature_loss", broken)
     assert main(["gradcheck"]) == 1
     assert "temperature: rel err" in capsys.readouterr().out
+
+
+def test_oracle_exits_zero_and_prints_a_pass_line_per_entry(capsys):
+    assert main(["oracle"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines and all(line.endswith("[PASS]") for line in lines)
+
+
+def test_oracle_returns_one_when_an_entry_fails(monkeypatch, capsys):
+    def one_failing(seed):
+        return {"agrees": (1.0, 1.0, True), "disagrees": (1.0, 2.0, False)}
+
+    monkeypatch.setattr(verify, "run_tabular_suite", one_failing)
+    assert main(["oracle"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split()[0] for line in lines] == ["agrees:", "disagrees:"]
+    assert lines[0].endswith("[PASS]") and lines[1].endswith("[FAIL]")

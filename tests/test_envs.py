@@ -251,10 +251,12 @@ def test_chain_env_empirical_returns_match_oracle():
     v0 = float(policy_table[0] @ q[0])
 
     rng = np.random.default_rng(16)
+    cdf = np.cumsum(policy_table, axis=1)
+    cdf /= cdf[:, -1:]  # as Generator.choice normalises it, so the draws equal choice(p=row)
 
     def policy(obs):
         s = int(round(obs[0, 0, 0] * (m.num_states - 1)))
-        return int(rng.choice(m.num_actions, p=policy_table[s]))
+        return int(cdf[s].searchsorted(rng.random(), side="right"))
 
     mean, se = mc_return(env, policy, episodes=4000, discount=0.9, signal="cost", seed=17)
     assert abs(mean - v0) <= 3 * se + 1e-6
