@@ -97,6 +97,66 @@ def test_concat_and_slice_backward():
     assert np.allclose(b.grad, [[2.0, 2.0, 0.0], [2.0, 2.0, 0.0]])
 
 
+def _copy_every_gradient(t, g, *_):
+    """The accumulation that copied every gradient it received."""
+    if t.grad is None:
+        t.grad = np.array(g, dtype=np.float64)
+    else:
+        t.grad += g
+
+
+# graphs over x [3,4], y [3,4] and b [4] whose vjps hand the same array, a
+# view of it or the upstream gradient to more than one tensor
+_ALIASING_GRAPHS = {
+    "x + x": lambda x, y, b: ((x + x) * y).sum(),
+    "x * x": lambda x, y, b: (x * x * y).sum(),
+    "concat then slices": lambda x, y, b: (
+        lambda cat: (cat[:, 2:6] * cat[:, 0:4] + cat[:, 4:8]).sum()
+    )(ad.concat([x, y], axis=1)),
+    "reshape": lambda x, y, b: (ad.tanh(x.reshape(2, 6)) @ y.reshape(6, 2)).sum() + x.reshape(12).sum(),
+    "broadcast add": lambda x, y, b: ((x + b) * (y + b)).sum(),
+    "one tensor feeding two ops": lambda x, y, b: (ad.tanh(x) * ad.exp(x) + ad.sigmoid(x) * y).sum(),
+    "one vjp array for two parents": lambda x, y, b: (
+        ad._node(x.data + y.data, (x, y), lambda g: (g * 1.0,) * 2) * 3.0 + x * y
+    ).sum(),
+}
+
+
+def _backward_through(graph, passes):
+    """Leaves x, y, b and every intermediate node after ``passes`` forward
+    and backward passes without clearing grads."""
+    rng = np.random.default_rng(7)
+    leaves = [Tensor(rng.normal(size=shape), requires_grad=True) for shape in ((3, 4), (3, 4), (4,))]
+    nodes, stack, seen = [], [], set()
+    for _ in range(passes):
+        root = graph(*leaves)
+        ad.backward(root)
+        stack.append(root)
+    while stack:
+        t = stack.pop()
+        if id(t) not in seen and t._parents:
+            seen.add(id(t))
+            nodes.append(t)
+            stack.extend(t._parents)
+    return leaves, nodes
+
+
+@pytest.mark.parametrize("passes", [1, 2])
+@pytest.mark.parametrize("name", list(_ALIASING_GRAPHS))
+def test_kept_gradients_share_no_memory_and_equal_copied_ones(name, passes, monkeypatch):
+    leaves, nodes = _backward_through(_ALIASING_GRAPHS[name], passes)
+    monkeypatch.setattr(ad, "_accumulate", _copy_every_gradient)
+    copied, _ = _backward_through(_ALIASING_GRAPHS[name], passes)
+    grads = [t.grad for t in leaves if t.grad is not None]
+    assert [t.grad is None for t in leaves] == [t.grad is None for t in copied]
+    for t, ref in zip(leaves, copied):
+        if ref.grad is not None:
+            assert t.grad.strides == ref.grad.strides and t.grad.tobytes() == ref.grad.tobytes()
+    for i, g in enumerate(grads):
+        assert not any(np.shares_memory(g, other) for other in grads[i + 1 :])
+        assert not any(np.shares_memory(g, node.grad) for node in nodes if node.grad is not None)
+
+
 _SMOOTH_OPS = {
     "tanh": (ad.tanh, np.tanh),
     "exp": (ad.exp, np.exp),

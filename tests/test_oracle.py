@@ -103,13 +103,20 @@ def test_value_iteration_matches_vectorized_monte_carlo():
     returns = np.zeros(n)
     weight = 1.0
     cdf_policy = np.cumsum(policy, axis=1)
-    cdf_trans = np.cumsum(m.transitions, axis=2)
+    n_actions = cdf_policy.shape[1]
+    # one column per threshold; a draw's index is how many thresholds it exceeds
+    flat_trans = np.cumsum(m.transitions, axis=2).reshape(-1, m.transitions.shape[2])
     for _ in range(horizon):
         u = rng.uniform(size=n)
-        actions = (u[:, None] > cdf_policy[states]).sum(axis=1)
+        actions = np.zeros(n, dtype=np.int64)
+        for j in range(n_actions):
+            actions += u > cdf_policy[states, j]
         returns += weight * m.costs[states, actions]
         u2 = rng.uniform(size=n)
-        states = (u2[:, None] > cdf_trans[states, actions]).sum(axis=1)
+        key = states * n_actions + actions
+        states = np.zeros(n, dtype=np.int64)
+        for j in range(flat_trans.shape[1]):
+            states += u2 > flat_trans[key, j]
         weight *= m.cost_gamma
     se = returns.std(ddof=1) / np.sqrt(n)
     assert abs(returns.mean() - v0) <= 3 * se + 1e-5

@@ -68,6 +68,33 @@ def test_restore_fills_the_constructed_trainer_and_saves_the_same_bytes(main_pha
     assert restored.save(tmp_path / "again.ckpt").read_bytes() == main_phase_checkpoint.read_bytes()
 
 
+def test_training_after_restore_writes_nothing_through_the_checkpoint_views(main_phase_checkpoint, tmp_path, monkeypatch):
+    loaded = []
+
+    def recording_load(path):
+        meta, arrays = load_checkpoint(path)
+        loaded.append(arrays)
+        return meta, arrays
+
+    monkeypatch.setattr("costbound.trainer.load_checkpoint", recording_load)
+    restored = cb.Trainer.restore(main_phase_checkpoint, tmp_path)
+    (views,) = loaded
+    assert not any(view.flags.writeable for view in views.values())
+    before = {name: view.copy() for name, view in views.items()}
+    for _ in range(3):
+        restored._collect(restored._policy_action(), warmup=False)
+        restored._gradient_step()
+    live = {
+        **restored._arrays(),
+        **{f"buffer.state()/{name}": arr for name, arr in restored.buffer.state()[1].items()},
+        **{f"ring/{name}": arr for name, arr in restored.buffer._records.items()},
+    }
+    for name, view in views.items():
+        assert np.array_equal(view, before[name]), name
+        for live_name, arr in live.items():
+            assert not np.shares_memory(arr, view), (live_name, name)
+
+
 MISMATCHES = {
     "missing array": lambda a: a.pop("params/q1/000"),
     "missing buffer array": lambda a: a.pop("buffer/rew"),
