@@ -80,30 +80,17 @@ class Tensor:
     def ndim(self):
         return self.data.ndim
 
-    @property
-    def size(self):
-        return self.data.size
-
     def item(self) -> float:
         return self.data.item()
-
-    def __repr__(self):
-        return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
     def detach(self) -> "Tensor":
         """View of the same values, cut off from the graph."""
         return Tensor(self.data)
 
-    def zero_grad(self):
-        self.grad = None
-
     # -- arithmetic ---------------------------------------------------------
 
     def __add__(self, other):
         return add(self, _lift(other))
-
-    def __radd__(self, other):
-        return add(_lift(other), self)
 
     def __sub__(self, other):
         return sub(self, _lift(other))
@@ -120,64 +107,25 @@ class Tensor:
     def __truediv__(self, other):
         return div(self, _lift(other))
 
-    def __rtruediv__(self, other):
-        return div(_lift(other), self)
-
     def __neg__(self):
         return neg(self)
-
-    def __pow__(self, exponent):
-        return pow_const(self, exponent)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
     def __getitem__(self, index):
         return getitem(self, index)
 
     # -- method forms of the op library --------------------------------------
 
-    def sum(self, axis=None, keepdims=False):
-        return tsum(self, axis=axis, keepdims=keepdims)
+    def sum(self, axis=None):
+        return tsum(self, axis=axis)
 
-    def mean(self, axis=None, keepdims=False):
-        return tmean(self, axis=axis, keepdims=keepdims)
-
-    def exp(self):
-        return exp(self)
-
-    def log(self):
-        return log(self)
-
-    def tanh(self):
-        return tanh(self)
-
-    def relu(self):
-        return relu(self)
-
-    def sigmoid(self):
-        return sigmoid(self)
-
-    def softplus(self):
-        return softplus(self)
-
-    def sqrt(self):
-        return sqrt(self)
+    def mean(self):
+        return tmean(self)
 
     def square(self):
         return mul(self, self)
 
-    def clamp(self, lo, hi):
-        return clamp(self, lo, hi)
-
     def reshape(self, *shape):
         return reshape(self, shape if len(shape) != 1 else shape[0])
-
-    def transpose(self, axes=None):
-        return transpose(self, axes)
-
-    def backward(self):
-        backward(self)
 
 
 def _lift(value) -> Tensor:
@@ -303,25 +251,6 @@ def neg(a: Tensor) -> Tensor:
     return _node(-a.data, (a,), lambda g: (-g,))
 
 
-def pow_const(a: Tensor, exponent) -> Tensor:
-    exponent = float(exponent)
-
-    def vjp(g):
-        return (g * exponent * a.data ** (exponent - 1.0),)
-
-    return _node(a.data ** exponent, (a,), vjp)
-
-
-def maximum(a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise max; the larger operand receives the gradient (ties: a)."""
-    mask = a.data >= b.data
-
-    def vjp(g):
-        return _unbroadcast(g * mask, a.data.shape), _unbroadcast(g * ~mask, b.data.shape)
-
-    return _node(np.maximum(a.data, b.data), (a, b), vjp)
-
-
 def minimum(a: Tensor, b: Tensor) -> Tensor:
     mask = a.data <= b.data
 
@@ -339,15 +268,6 @@ def exp(a: Tensor) -> Tensor:
     return _node(out_data, (a,), lambda g: (g * out_data,))
 
 
-def log(a: Tensor) -> Tensor:
-    return _node(np.log(a.data), (a,), lambda g: (g / a.data,))
-
-
-def sqrt(a: Tensor) -> Tensor:
-    out_data = np.sqrt(a.data)
-    return _node(out_data, (a,), lambda g: (g * (0.5 / out_data),))
-
-
 def tanh(a: Tensor) -> Tensor:
     out_data = np.tanh(a.data)
     return _node(out_data, (a,), lambda g: (g * (1.0 - out_data * out_data),))
@@ -356,11 +276,6 @@ def tanh(a: Tensor) -> Tensor:
 def relu(a: Tensor) -> Tensor:
     mask = a.data > 0.0
     return _node(a.data * mask, (a,), lambda g: (g * mask,))
-
-
-def sigmoid(a: Tensor) -> Tensor:
-    out_data = _sigmoid(a.data)
-    return _node(out_data, (a,), lambda g: (g * out_data * (1.0 - out_data),))
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
@@ -391,29 +306,17 @@ def clamp(a: Tensor, lo: float, hi: float) -> Tensor:
 # -- reductions ---------------------------------------------------------------
 
 
-def tsum(a: Tensor, axis=None, keepdims=False) -> Tensor:
+def tsum(a: Tensor, axis=None) -> Tensor:
     def vjp(g):
-        if axis is None:
-            return (np.broadcast_to(g, a.data.shape).copy(),)
-        gk = g if keepdims else np.expand_dims(g, axis)
+        gk = g if axis is None else np.expand_dims(g, axis)
         return (np.broadcast_to(gk, a.data.shape).copy(),)
 
-    return _node(a.data.sum(axis=axis, keepdims=keepdims), (a,), vjp)
+    return _node(a.data.sum(axis=axis), (a,), vjp)
 
 
-def tmean(a: Tensor, axis=None, keepdims=False) -> Tensor:
-    if axis is None:
-        count = a.data.size
-    else:
-        count = a.data.shape[axis]
-
-    def vjp(g):
-        if axis is None:
-            return (np.broadcast_to(g / count, a.data.shape).copy(),)
-        gk = g if keepdims else np.expand_dims(g, axis)
-        return (np.broadcast_to(gk / count, a.data.shape).copy(),)
-
-    return _node(a.data.mean(axis=axis, keepdims=keepdims), (a,), vjp)
+def tmean(a: Tensor) -> Tensor:
+    count = a.data.size
+    return _node(a.data.mean(), (a,), lambda g: (np.broadcast_to(g / count, a.data.shape).copy(),))
 
 
 # -- shape manipulation -------------------------------------------------------
@@ -422,18 +325,6 @@ def tmean(a: Tensor, axis=None, keepdims=False) -> Tensor:
 def reshape(a: Tensor, shape) -> Tensor:
     old = a.data.shape
     return _node(a.data.reshape(shape), (a,), lambda g: (g.reshape(old),))
-
-
-def transpose(a: Tensor, axes=None) -> Tensor:
-    if axes is None:
-        inv = None
-    else:
-        inv = np.argsort(axes)
-
-    def vjp(g):
-        return (g.transpose(inv) if inv is not None else g.transpose(),)
-
-    return _node(a.data.transpose(axes), (a,), vjp)
 
 
 def concat(tensors, axis: int = 0) -> Tensor:
@@ -459,16 +350,6 @@ def getitem(a: Tensor, index) -> Tensor:
 
 
 # -- linear algebra -----------------------------------------------------------
-
-
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.data.ndim != 2 or b.data.ndim != 2:
-        raise ValueError("matmul expects 2-D operands")
-
-    def vjp(g):
-        return (g @ b.data.T if a.requires_grad else None, a.data.T @ g if b.requires_grad else None)
-
-    return _node(a.data @ b.data, (a, b), vjp)
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
@@ -559,7 +440,7 @@ def _scatter(y: np.ndarray, w: np.ndarray, out_shape, kh: int, kw: int, stride: 
     return out
 
 
-def conv2d(x: Tensor, w: Tensor, b: Tensor | None, stride: int = 1, pad: int = 0) -> Tensor:
+def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, pad: int = 0) -> Tensor:
     """2-D cross-correlation. x: [N,C,H,W], w: [O,C,kh,kw], b: [O]."""
     _, c, h, wdt = x.data.shape
     o, c2, kh, kw = w.data.shape
@@ -569,25 +450,23 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None, stride: int = 1, pad: int = 0
     w_flat = w.data.reshape(o, -1)
     # the window rows are kept only for a weight gradient the tape will ask for
     out_data, cols = _gather(x.data, w_flat.T, grid, kh, kw, stride, pad, _grad_enabled and w.requires_grad)
-    if b is not None:
-        out_data += b.data[:, None, None]
+    out_data += b.data[:, None, None]
 
     def vjp(g):
         gx = _scatter(g, w_flat, x.data.shape, kh, kw, stride, pad) if x.requires_grad else None
         gw = None
         if w.requires_grad:
             gw = (g.transpose(0, 2, 3, 1).reshape(-1, o).T @ cols).reshape(w.data.shape)
-        gb = g.sum(axis=(0, 2, 3)) if b is not None and b.requires_grad else None
+        gb = g.sum(axis=(0, 2, 3)) if b.requires_grad else None
         return gx, gw, gb
 
-    parents = (x, w) if b is None else (x, w, b)
-    return _node(out_data, parents, vjp)
+    return _node(out_data, (x, w, b), vjp)
 
 
 def conv2d_transpose(
     x: Tensor,
     w: Tensor,
-    b: Tensor | None,
+    b: Tensor,
     stride: int = 1,
     pad: int = 0,
     out_extra: int = 0,
@@ -605,8 +484,7 @@ def conv2d_transpose(
     wo = (wdt - 1) * stride - 2 * pad + kw + out_extra
     w_flat = w.data.reshape(cin, -1)
     out_data = _scatter(x.data, w_flat, (n, cout, ho, wo), kh, kw, stride, pad)
-    if b is not None:
-        out_data += b.data[:, None, None]
+    out_data += b.data[:, None, None]
 
     def vjp(g):
         # out_extra only ever adds trailing rows and columns that no window of x reaches
@@ -615,8 +493,7 @@ def conv2d_transpose(
         if w.requires_grad:
             x_flat = x.data.transpose(0, 2, 3, 1).reshape(-1, cin)
             gw = (x_flat.T @ g_win).reshape(w.data.shape)
-        gb = g.sum(axis=(0, 2, 3)) if b is not None and b.requires_grad else None
+        gb = g.sum(axis=(0, 2, 3)) if b.requires_grad else None
         return gx, gw, gb
 
-    parents = (x, w) if b is None else (x, w, b)
-    return _node(out_data, parents, vjp)
+    return _node(out_data, (x, w, b), vjp)

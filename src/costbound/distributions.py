@@ -39,8 +39,8 @@ class DiagGaussian:
         return self.mean + ad.exp(self.log_std) * noise
 
 
-def clamp_log_std(log_std: Tensor, lo: float = LOG_STD_MIN, hi: float = LOG_STD_MAX) -> Tensor:
-    return ad.clamp(log_std, lo, hi)
+def clamp_log_std(log_std: Tensor) -> Tensor:
+    return ad.clamp(log_std, LOG_STD_MIN, LOG_STD_MAX)
 
 
 def kl_diag_gaussians(q: DiagGaussian, p: DiagGaussian) -> Tensor:

@@ -270,20 +270,6 @@ class TabularChainEnv:
         self._done = self._steps >= self.cfg.episode_limit
         return StepResult(self._observe(), reward, cost, self._done)
 
-    def get_state(self) -> dict:
-        return {
-            "state": self._state,
-            "steps": self._steps,
-            "done": self._done,
-            "rng": self._rng.bit_generator.state,
-        }
-
-    def set_state(self, state: dict):
-        self._state = int(state["state"])
-        self._steps = int(state["steps"])
-        self._done = bool(state["done"])
-        self._rng.bit_generator.state = state["rng"]
-
 
 def write_ppm(path, img_uint8: np.ndarray):
     """Write [3,H,W] as binary PPM (P6) or [1,H,W]/[H,W] as PGM (P5)."""

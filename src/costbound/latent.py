@@ -14,10 +14,15 @@ Observations decode from (z1, z2) as a Gaussian with fixed std; rewards
 from (z_t, a_t, z_t+1) as a unit-std Gaussian; costs from the same inputs
 as a Bernoulli logit over "any violation this step".
 
-Because the z2 factors are identical on both paths, the KL between the
-inference and generative distributions over (z1, z2) reduces exactly to
-the KL between the z1 factors; the training objective computes it that
-way (full derivation in the README).
+Both joints over (z1, z2) factor step by step into a z1 factor and the
+same z2 conditional p(z2_t | z1_t, z2_t-1, a_t-1). The z2 factors cancel
+in the log-ratio, so
+
+    log q(z | x) - log p(z) = sum_t [log q(z1_t | .) - log p(z1_t | .)]
+
+and the KL between the inference and generative distributions is the sum
+over steps of the expected KLs between the z1 factors, each taken at the
+sampled z2_t-1. The training objective computes it that way.
 """
 
 from __future__ import annotations
@@ -61,11 +66,9 @@ class InferredLatents:
 
     z1: list            # L+1 tensors [B, z1_dim]
     z2: list            # L+1 tensors [B, z2_dim]
+    states: list        # L+1 tensors [B, z1_dim + z2_dim]: z1 and z2 side by side
     posteriors: list    # L+1 DiagGaussians over z1
     priors: list        # L+1 DiagGaussians over z1 (index 0: standard normal)
-
-    def full_state(self, t: int) -> Tensor:
-        return ad.concat([self.z1[t], self.z2[t]], axis=1)
 
 
 def posterior_noise(rng: np.random.Generator, batch: int, steps: int, cfg: "LatentModelConfig"):
@@ -137,25 +140,35 @@ class LatentModel:
             raise ValueError("noise shapes do not match the window")
         feats = self.encode_sequence(observations)
         zeros = Tensor(np.zeros((b, self.cfg.z1_dim)))
-        q0 = self.post_init(feats[0])
-        z1_t = q0.rsample(eps1[:, 0])
-        z2_t = self.z2_init(z1_t).rsample(eps2[:, 0])
+        q_t, z1_t, z2_t = self._first_step(feats[0], eps1[:, 0], eps2[:, 0])
         z1s, z2s = [z1_t], [z2_t]
-        posteriors, priors = [q0], [DiagGaussian(zeros, zeros)]
+        posteriors, priors = [q_t], [DiagGaussian(zeros, zeros)]
         for t in range(1, steps):
             a = Tensor(actions[:, t - 1])
-            prev_z2 = z2s[-1]
-            q_t = self.post_step(ad.concat([feats[t], prev_z2, a], axis=1))
-            p_t = self.prior_step(ad.concat([prev_z2, a], axis=1))
-            z1_t = q_t.rsample(eps1[:, t])
-            z2_t = self.z2_step(ad.concat([z1_t, prev_z2, a], axis=1)).rsample(eps2[:, t])
+            priors.append(self.prior_step(ad.concat([z2_t, a], axis=1)))
+            q_t, z1_t, z2_t = self._next_step(feats[t], z2_t, a, eps1[:, t], eps2[:, t])
             z1s.append(z1_t)
             z2s.append(z2_t)
             posteriors.append(q_t)
-            priors.append(p_t)
-        if not np.all(np.isfinite(z1s[-1].data)) or not np.all(np.isfinite(z2s[-1].data)):
+        if not np.all(np.isfinite(z1_t.data)) or not np.all(np.isfinite(z2_t.data)):
             raise NonFiniteLossError("latent inference produced non-finite values")
-        return InferredLatents(z1s, z2s, posteriors, priors)
+        states = [ad.concat([z1, z2], axis=1) for z1, z2 in zip(z1s, z2s)]
+        return InferredLatents(z1s, z2s, states, posteriors, priors)
+
+    # -- the posterior recurrence, shared by the training window and the filter --
+
+    def _first_step(self, feat: Tensor, eps1, eps2):
+        """(posterior over z1, z1, z2) at the first observation's features."""
+        q = self.post_init(feat)
+        z1 = q.rsample(eps1)
+        return q, z1, self.z2_init(z1).rsample(eps2)
+
+    def _next_step(self, feat: Tensor, prev_z2: Tensor, a: Tensor, eps1, eps2):
+        """(posterior over z1, z1, z2) one action ``a`` after ``prev_z2``;
+        only z2 of the previous state conditions the step."""
+        q = self.post_step(ad.concat([feat, prev_z2, a], axis=1))
+        z1 = q.rsample(eps1)
+        return q, z1, self.z2_step(ad.concat([z1, prev_z2, a], axis=1)).rsample(eps2)
 
     # -- training objective ---------------------------------------------------------
 
@@ -170,8 +183,7 @@ class LatentModel:
         inf = self.infer_posterior(obs, actions, noise)
 
         # observation reconstruction over all L+1 frames (time-major)
-        states = ad.concat([inf.full_state(t) for t in range(steps)], axis=0)
-        dec_mean = self.decoder(states)
+        dec_mean = self.decoder(ad.concat(inf.states, axis=0))
         flat_dim = int(np.prod(self.cfg.obs_shape))
         dec_flat = dec_mean.reshape(steps * b, flat_dim)
         target = np.ascontiguousarray(obs.transpose(1, 0, *range(2, obs.ndim))).reshape(steps * b, flat_dim)
@@ -182,7 +194,7 @@ class LatentModel:
         if l > 0:
             pairs = ad.concat(
                 [
-                    ad.concat([inf.full_state(t), Tensor(actions[:, t]), inf.full_state(t + 1)], axis=1)
+                    ad.concat([inf.states[t], Tensor(actions[:, t]), inf.states[t + 1]], axis=1)
                     for t in range(l)
                 ],
                 axis=0,
@@ -222,20 +234,14 @@ class LatentModel:
     def filter_init(self, obs: np.ndarray, eps1: np.ndarray, eps2: np.ndarray):
         """Latent state from the first observation of an episode (numpy in/out)."""
         with ad.no_grad():
-            feat = self.encoder(Tensor(obs[None]))
-            z1 = self.post_init(feat).rsample(eps1[None])
-            z2 = self.z2_init(z1).rsample(eps2[None])
+            _, z1, z2 = self._first_step(self.encoder(Tensor(obs[None])), eps1[None], eps2[None])
         return z1.data[0].copy(), z2.data[0].copy()
 
     def filter_step(self, state, action, obs, eps1, eps2):
         """Advance the filtered latent (z1, z2) with one executed action and
-        the new observation; only z2 conditions the update."""
-        _, z2 = state
+        the new observation."""
         with ad.no_grad():
             feat = self.encoder(Tensor(obs[None]))
             a = Tensor(np.asarray(action, dtype=np.float64)[None])
-            prev_z2 = Tensor(z2[None])
-            q = self.post_step(ad.concat([feat, prev_z2, a], axis=1))
-            new_z1 = q.rsample(eps1[None])
-            new_z2 = self.z2_step(ad.concat([new_z1, prev_z2, a], axis=1)).rsample(eps2[None])
-        return new_z1.data[0].copy(), new_z2.data[0].copy()
+            _, z1, z2 = self._next_step(feat, Tensor(state[1][None]), a, eps1[None], eps2[None])
+        return z1.data[0].copy(), z2.data[0].copy()

@@ -15,23 +15,22 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .distributions import LOG_STD_MAX, LOG_STD_MIN, DiagGaussian, clamp_log_std
+from .distributions import DiagGaussian, clamp_log_std
 
 
 class Linear:
-    def __init__(self, in_dim: int, out_dim: int, rng: np.random.Generator, bias: bool = True):
+    def __init__(self, in_dim: int, out_dim: int, rng: np.random.Generator):
         bound = 1.0 / math.sqrt(in_dim)
         self.w = Tensor(rng.uniform(-bound, bound, size=(in_dim, out_dim)), requires_grad=True)
         # nonzero bias init keeps ReLU pre-activations off the exact kink
-        self.b = Tensor(rng.uniform(-bound, bound, size=out_dim), requires_grad=True) if bias else None
+        self.b = Tensor(rng.uniform(-bound, bound, size=out_dim), requires_grad=True)
 
     def __call__(self, x: Tensor, frozen: bool = False) -> Tensor:
-        w = self.w.detach() if frozen else self.w
-        b = None if self.b is None else (self.b.detach() if frozen else self.b)
+        w, b = (self.w.detach(), self.b.detach()) if frozen else (self.w, self.b)
         return ad.linear(x, w, b)
 
     def parameters(self):
-        return [self.w] if self.b is None else [self.w, self.b]
+        return [self.w, self.b]
 
 
 class MLP:
@@ -111,24 +110,13 @@ class ConvTranspose2d:
 class GaussianHead:
     """MLP emitting a DiagGaussian with the log-std clamped to a safe range."""
 
-    def __init__(
-        self,
-        in_dim: int,
-        hidden: tuple,
-        out_dim: int,
-        rng: np.random.Generator,
-        log_std_bounds=(LOG_STD_MIN, LOG_STD_MAX),
-    ):
+    def __init__(self, in_dim: int, hidden: tuple, out_dim: int, rng: np.random.Generator):
         self.net = MLP(in_dim, hidden, 2 * out_dim, rng)
         self.out_dim = out_dim
-        self.log_std_bounds = log_std_bounds
 
     def __call__(self, x: Tensor, frozen: bool = False) -> DiagGaussian:
         raw = self.net(x, frozen=frozen)
-        mean = raw[..., : self.out_dim]
-        log_std = raw[..., self.out_dim :]
-        lo, hi = self.log_std_bounds
-        return DiagGaussian(mean, clamp_log_std(log_std, lo, hi))
+        return DiagGaussian(raw[..., : self.out_dim], clamp_log_std(raw[..., self.out_dim :]))
 
     def parameters(self):
         return self.net.parameters()

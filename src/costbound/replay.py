@@ -36,14 +36,6 @@ class SequenceBatch:
     costs: np.ndarray         # [B, L]
     dones: np.ndarray         # [B, L], bool
 
-    @property
-    def batch_size(self) -> int:
-        return self.observations.shape[0]
-
-    @property
-    def length(self) -> int:
-        return self.actions.shape[1]
-
 
 class ReplayBuffer:
     def __init__(self, capacity: int, obs_shape, action_dim: int, seed: int = 0):

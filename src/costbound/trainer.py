@@ -85,12 +85,17 @@ def normalized_metrics(run_rows: np.ndarray, reference_rows: np.ndarray, window:
 
     Both inputs are metrics tables [N, >=3] with columns (step, reward,
     cost, ...). Uses the mean of the last ``window`` evaluation rows of
-    each table; raises on a zero reference divisor.
+    each table; raises on a window below 1, on a table without rows and on
+    a zero reference divisor.
     """
+    if window < 1:
+        raise ValueError(f"window must be at least 1, got {window}")
     if run_rows.ndim != 2 or reference_rows.ndim != 2:
         raise ValueError("metrics tables must be 2-D")
-    run_tail = run_rows[-min(window, len(run_rows)) :]
-    ref_tail = reference_rows[-min(window, len(reference_rows)) :]
+    if len(run_rows) == 0 or len(reference_rows) == 0:
+        raise ValueError("metrics table has no evaluation rows")
+    run_tail = run_rows[-window:]
+    ref_tail = reference_rows[-window:]
     ref_reward = float(ref_tail[:, 1].mean())
     ref_cost = float(ref_tail[:, 2].mean())
     if ref_reward == 0.0 or ref_cost == 0.0:
@@ -324,8 +329,8 @@ class Trainer:
         noise = posterior_noise(self.rngs["ac"], cfg.ac_batch, length + 1, self.model.cfg)
         with ad.no_grad():
             inf = self.model.infer_posterior(batch.observations, batch.actions, noise)
-            z_tau = inf.full_state(length - 1).data.copy()
-            z_next = inf.full_state(length).data.copy()
+            z_tau = inf.states[length - 1].data
+            z_next = inf.states[length].data
         a_tau = batch.actions[:, length - 1]
         r_tau = batch.rewards[:, length - 1]
         c_tau = batch.costs[:, length - 1]

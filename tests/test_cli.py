@@ -7,7 +7,7 @@ from costbound import verify
 from costbound.autodiff import Tensor
 from costbound.cli import main
 from costbound.config import save_config
-from costbound.trainer import METRICS_HEADER
+from costbound.trainer import METRICS_HEADER, load_metrics, normalized_metrics
 
 from test_trainer import short_config
 
@@ -42,14 +42,38 @@ def test_evaluate_prints_reward_and_cost(trained, capsys):
     assert all(np.isfinite(float(value)) for value in printed.values())
 
 
+def write_metrics(path, reward, cost, steps=(100, 200)):
+    rows = [",".join(map(str, [step, reward, cost] + [0.0] * 7)) for step in steps]
+    path.write_text("\n".join([METRICS_HEADER] + rows) + "\n")
+    return str(path)
+
+
 def test_normalize_prints_its_json(tmp_path, capsys):
-    for name, reward, cost in (("run", 2.0, 1.0), ("reference", 4.0, 4.0)):
-        rows = [",".join(map(str, [step, reward, cost] + [0.0] * 7)) for step in (100, 200)]
-        (tmp_path / f"{name}.csv").write_text("\n".join([METRICS_HEADER] + rows) + "\n")
-    run, reference = str(tmp_path / "run.csv"), str(tmp_path / "reference.csv")
+    run = write_metrics(tmp_path / "run.csv", 2.0, 1.0)
+    reference = write_metrics(tmp_path / "reference.csv", 4.0, 4.0)
     assert main(["normalize", "--run", run, "--reference", reference]) == 0
     printed = json.loads(capsys.readouterr().out)
     assert printed == {"normalized_reward": 0.5, "normalized_cost": 0.25, "window": 2}
+
+
+@pytest.mark.parametrize("window", [0, -1])
+def test_normalize_rejects_a_window_below_one(tmp_path, window):
+    run = write_metrics(tmp_path / "run.csv", 2.0, 1.0)
+    reference = write_metrics(tmp_path / "reference.csv", 4.0, 4.0)
+    with pytest.raises(ValueError, match="window"):
+        normalized_metrics(load_metrics(run), load_metrics(reference), window=window)
+    with pytest.raises(ValueError, match="window"):
+        main(["normalize", "--run", run, "--reference", reference, "--window", str(window)])
+
+
+@pytest.mark.parametrize("empty", ["run", "reference"])
+def test_normalize_rejects_a_metrics_file_without_rows(tmp_path, empty):
+    paths = {name: write_metrics(tmp_path / f"{name}.csv", 2.0, 1.0) for name in ("run", "reference")}
+    paths[empty] = write_metrics(tmp_path / f"{empty}.csv", 2.0, 1.0, steps=())
+    with pytest.raises(ValueError, match="no evaluation rows"):
+        normalized_metrics(load_metrics(paths["run"]), load_metrics(paths["reference"]))
+    with pytest.raises(ValueError, match="no evaluation rows"):
+        main(["normalize", "--run", paths["run"], "--reference", paths["reference"]])
 
 
 def test_gradcheck_returns_one_when_a_loss_is_broken(monkeypatch, capsys):

@@ -100,6 +100,24 @@ def test_shared_z2_transition_reproduces_inference_path():
         assert np.array_equal(replayed.data, inf.z2[t].data)
 
 
+@pytest.mark.parametrize("encoder, obs_shape", [("mlp", (4,)), ("conv", (1, 4, 4))])
+def test_online_filter_retraces_the_training_window(encoder, obs_shape):
+    # one window at B=1, filtered online with the window's own noise
+    rng = np.random.default_rng(26)
+    model = LatentModel(tiny_config(encoder, obs_shape), rng)
+    l = 3
+    obs = rng.normal(size=(1, l + 1, *obs_shape))
+    actions = rng.uniform(-1, 1, size=(1, l, 2))
+    eps1, eps2 = posterior_noise(np.random.default_rng(27), 1, l + 1, model.cfg)
+    inf = model.infer_posterior(obs, actions, (eps1, eps2))
+    state = model.filter_init(obs[0, 0], eps1[0, 0], eps2[0, 0])
+    for t in range(l + 1):
+        if t:
+            state = model.filter_step(state, actions[0, t - 1], obs[0, t], eps1[0, t], eps2[0, t])
+        np.testing.assert_allclose(state[0], inf.z1[t].data[0], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(state[1], inf.z2[t].data[0], rtol=0, atol=1e-12)
+
+
 def test_model_loss_cost_term_vanishes_under_perfect_prediction():
     rng = np.random.default_rng(11)
     model = LatentModel(tiny_config(), rng)
