@@ -8,6 +8,7 @@ import sys
 import tempfile
 from pathlib import Path
 
+from .checkpoint import CheckpointError
 from .config import load_config
 from .trainer import Trainer, load_metrics, normalized_metrics
 
@@ -105,8 +106,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command. A bad config, checkpoint, metrics file or option
+    value prints one ``costbound: error:`` line and returns 2."""
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (CheckpointError, ValueError, ZeroDivisionError) as err:
+        print(f"costbound: error: {err}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -339,6 +339,11 @@ _CONV_CASES = {
     ),
     "conv_n1": ("conv2d", (1, 8, 8, 8), (16, 8, 3, 3), dict(stride=2, pad=1)),
     "deconv_n1": ("conv2d_transpose", (1, 16, 4, 4), (16, 8, 3, 3), dict(stride=2, pad=1, out_extra=1)),
+    # up to 9 taps meet in one output element; the name sorts last, so the
+    # seeds that the cases above draw from stay as they were
+    "taps9_deconv_stride1_pad1": (
+        "conv2d_transpose", (2, 3, 5, 4), (3, 4, 3, 3), dict(stride=1, pad=1, out_extra=0)
+    ),
 }
 _REFERENCES = {"conv2d": reference_conv2d, "conv2d_transpose": reference_conv2d_transpose}
 
@@ -351,15 +356,38 @@ def _conv_outputs(op, x_val, w_val, b_val, g, x_grad=True, **kw):
     return out.data, out._vjp(g)
 
 
-def _assert_matches_reference(op, x_shape, w_shape, kw, seed):
+def _with_special_values(rng, values):
+    """``values`` with its first frame's first channel all -0.0, about one
+    entry in ten an exact zero of either sign, and one +inf, -inf and NaN."""
+    values = values.copy()
+    values[0, 0] = -0.0
+    flat = values.reshape(-1)
+    zeros = rng.random(flat.size) < 0.1
+    flat[zeros] = np.where(rng.random(zeros.sum()) < 0.5, 0.0, -0.0)
+    flat[rng.choice(flat.size, 3, replace=False)] = [np.inf, -np.inf, np.nan]
+    return values
+
+
+def _assert_bitwise_equal(got, want):
+    assert got.shape == want.shape and np.array_equal(got, want, equal_nan=True)
+    zeros = want == 0
+    assert np.array_equal(np.signbit(got[zeros]), np.signbit(want[zeros]))
+
+
+def _assert_matches_reference(op, x_shape, w_shape, kw, seed, special=False):
     rng = np.random.default_rng(seed)
     x_val, w_val = rng.normal(size=x_shape), rng.normal(size=w_shape)
     b_val = rng.normal(size=w_shape[0] if op == "conv2d" else w_shape[1])
+    if special:
+        x_val = _with_special_values(rng, x_val)
+        b_val[:2] = [-0.0, 0.0]
     ref_out, ref_vjp = _REFERENCES[op](x_val, w_val, b_val, **kw)
     g = rng.normal(size=ref_out.shape)
+    if special:
+        g = _with_special_values(rng, g)
     out, grads = _conv_outputs(op, x_val, w_val, b_val, g, **kw)
     for got, want in zip((out, *grads), (ref_out, *ref_vjp(g))):
-        assert got.shape == want.shape and np.array_equal(got, want)
+        _assert_bitwise_equal(got, want)
         assert list(got.strides) == sorted(got.strides, reverse=True)  # channels-first memory
 
 
@@ -367,6 +395,44 @@ def _assert_matches_reference(op, x_shape, w_shape, kw, seed):
 def test_conv_kernels_match_the_whole_batch_reference_bitwise(case):
     op, x_shape, w_shape, kw = _CONV_CASES[case]
     _assert_matches_reference(op, x_shape, w_shape, kw, seed=sorted(_CONV_CASES).index(case))
+
+
+@pytest.mark.parametrize("case", sorted(_CONV_CASES))
+def test_conv_kernels_match_the_reference_bitwise_on_signed_zeros_infs_and_nans(case):
+    op, x_shape, w_shape, kw = _CONV_CASES[case]
+    seed = 100 + sorted(_CONV_CASES).index(case)
+    with np.errstate(invalid="ignore"):
+        _assert_matches_reference(op, x_shape, w_shape, kw, seed=seed, special=True)
+
+
+@pytest.mark.parametrize("case", sorted(_CONV_CASES))
+def test_conv_forward_under_no_grad_matches_the_reference_bitwise(case):
+    # conv2d's _gather keeps no window rows here
+    op, x_shape, w_shape, kw = _CONV_CASES[case]
+    rng = np.random.default_rng(200 + sorted(_CONV_CASES).index(case))
+    x_val, w_val = rng.normal(size=x_shape), rng.normal(size=w_shape)
+    b_val = rng.normal(size=w_shape[0] if op == "conv2d" else w_shape[1])
+    with ad.no_grad():
+        out = getattr(ad, op)(Tensor(x_val), Tensor(w_val, requires_grad=True), Tensor(b_val), **kw)
+    assert out._vjp is None
+    _assert_bitwise_equal(out.data, _REFERENCES[op](x_val, w_val, b_val, **kw)[0])
+
+
+def test_conv_index_tables_are_cached_and_read_only():
+    for case in ("desk_conv1", "taps9_deconv_stride1_pad1"):
+        _assert_matches_reference(*_CONV_CASES[case], seed=0)
+    hits = ad._window_table.cache_info().hits, ad._tap_table.cache_info().hits
+    tables = [
+        ad._window_table(3, 18, 18, (8, 8), 3, 3, 2),  # desk_conv1's windows
+        ad._tap_table(3, 16, 16, (8, 8), 3, 3, 2, 1),  # desk_conv1's input gradient
+        ad._tap_table(4, 5, 4, (5, 4), 3, 3, 1, 1),  # taps9's output
+    ]
+    assert (ad._window_table.cache_info().hits, ad._tap_table.cache_info().hits) == (hits[0] + 1, hits[1] + 2)
+    assert len(tables[1]) == 4 and len(tables[2]) == 9
+    for table in tables:
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[0] = 0
 
 
 @pytest.mark.parametrize("case", ["full_conv1", "full_conv2", "full_deconv1", "full_deconv2"])

@@ -48,6 +48,11 @@ def write_metrics(path, reward, cost, steps=(100, 200)):
     return str(path)
 
 
+def assert_one_error_line(capsys, message):
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"costbound: error: {message}\n"
+
+
 def test_normalize_prints_its_json(tmp_path, capsys):
     run = write_metrics(tmp_path / "run.csv", 2.0, 1.0)
     reference = write_metrics(tmp_path / "reference.csv", 4.0, 4.0)
@@ -57,23 +62,40 @@ def test_normalize_prints_its_json(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("window", [0, -1])
-def test_normalize_rejects_a_window_below_one(tmp_path, window):
+def test_normalize_rejects_a_window_below_one(tmp_path, capsys, window):
     run = write_metrics(tmp_path / "run.csv", 2.0, 1.0)
     reference = write_metrics(tmp_path / "reference.csv", 4.0, 4.0)
     with pytest.raises(ValueError, match="window"):
         normalized_metrics(load_metrics(run), load_metrics(reference), window=window)
-    with pytest.raises(ValueError, match="window"):
-        main(["normalize", "--run", run, "--reference", reference, "--window", str(window)])
+    assert main(["normalize", "--run", run, "--reference", reference, "--window", str(window)]) == 2
+    assert_one_error_line(capsys, f"window must be at least 1, got {window}")
 
 
 @pytest.mark.parametrize("empty", ["run", "reference"])
-def test_normalize_rejects_a_metrics_file_without_rows(tmp_path, empty):
+def test_normalize_rejects_a_metrics_file_without_rows(tmp_path, capsys, empty):
     paths = {name: write_metrics(tmp_path / f"{name}.csv", 2.0, 1.0) for name in ("run", "reference")}
     paths[empty] = write_metrics(tmp_path / f"{empty}.csv", 2.0, 1.0, steps=())
     with pytest.raises(ValueError, match="no evaluation rows"):
         normalized_metrics(load_metrics(paths["run"]), load_metrics(paths["reference"]))
-    with pytest.raises(ValueError, match="no evaluation rows"):
-        main(["normalize", "--run", paths["run"], "--reference", paths["reference"]])
+    assert main(["normalize", "--run", paths["run"], "--reference", paths["reference"]]) == 2
+    assert_one_error_line(capsys, "metrics table has no evaluation rows")
+
+
+def test_normalize_against_a_reference_without_cost_exits_two(tmp_path, capsys):
+    run = write_metrics(tmp_path / "run.csv", 2.0, 1.0)
+    reference = write_metrics(tmp_path / "reference.csv", 4.0, 0.0)
+    assert main(["normalize", "--run", run, "--reference", reference]) == 2
+    assert_one_error_line(capsys, "reference run has zero mean reward or cost")
+
+
+@pytest.mark.parametrize("keep", [lambda n: 20, lambda n: n // 2], ids=["20 bytes", "half"])
+def test_evaluate_of_a_truncated_checkpoint_exits_two(trained, tmp_path, capsys, keep):
+    _, root = trained
+    data = (root / "run" / "final.ckpt").read_bytes()
+    (tmp_path / "cut.ckpt").write_bytes(data[: keep(len(data))])
+    assert main(["evaluate", "--checkpoint", str(tmp_path / "cut.ckpt")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("costbound: error: checkpoint") and "truncated" in err and err.count("\n") == 1
 
 
 def test_gradcheck_returns_one_when_a_loss_is_broken(monkeypatch, capsys):
