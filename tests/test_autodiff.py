@@ -1,3 +1,7 @@
+import gc
+import tracemalloc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -39,6 +43,72 @@ def test_gradient_accumulates_until_cleared():
     x.grad = None
     ad.backward(x * x)
     assert np.allclose(x.grad, 4.0)
+
+
+def test_second_backward_from_the_same_root_raises_and_keeps_the_first_gradient():
+    x = Tensor(np.array([0.3, -0.7]), requires_grad=True)
+    root = ad.tanh(x * x).sum()
+    ad.backward(root)
+    once = x.grad.copy()
+    with pytest.raises(RuntimeError, match="released"):
+        ad.backward(root)
+    assert np.array_equal(x.grad, once)
+
+
+def test_backward_through_an_intermediate_of_a_released_graph_raises_before_any_gradient_moves():
+    x = Tensor(1.0, requires_grad=True)
+    y = Tensor(1.0, requires_grad=True)
+    h = x * x
+    ad.backward(h.sum())
+    assert x.grad == 2.0
+    with pytest.raises(RuntimeError, match="released"):
+        # y's branch would be walked before the one through h
+        ad.backward((y * 3.0).sum() + (h * 2.0).sum())
+    assert x.grad == 2.0 and y.grad is None
+
+
+def test_backward_frees_the_intermediate_arrays_it_consumed():
+    x = Tensor(np.random.default_rng(3).normal(size=64), requires_grad=True)
+    h = ad.tanh(x * 2.0)
+    held = weakref.ref(h.data)
+    loss = (h * h).sum()
+    del h
+    ad.backward(loss)
+    gc.collect()
+    assert held() is None
+    assert x.grad is not None and loss.item() > 0.0
+
+
+def _conv_autoencoder_loss(frames, params):
+    """A small conv encoder and decoder reconstructing ``frames``."""
+    w1, b1, w2, b2, w3, b3, w4, b4 = params
+    h = ad.relu(ad.conv2d(frames, w1, b1, stride=2, pad=1))
+    h = ad.relu(ad.conv2d(h, w2, b2, stride=2, pad=1))
+    h = ad.relu(ad.conv2d_transpose(h, w3, b3, stride=2, pad=1, out_extra=1))
+    err = ad.conv2d_transpose(h, w4, b4, stride=2, pad=1, out_extra=1) - frames
+    return (err * err).sum()
+
+
+def test_backward_peak_memory_stays_below_half_the_forward_tape():
+    rng = np.random.default_rng(4)
+    frames = Tensor(rng.normal(size=(16, 3, 32, 32)))
+    shapes = [(8, 3, 3, 3), (8,), (16, 8, 3, 3), (16,), (16, 8, 3, 3), (8,), (8, 3, 3, 3), (3,)]
+    params = [Tensor(rng.normal(size=shape) * 0.1, requires_grad=True) for shape in shapes]
+    ad.backward(_conv_autoencoder_loss(frames, params))  # fills the index-table caches
+    for p in params:
+        p.grad = None
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        loss = _conv_autoencoder_loss(frames, params)
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        ad.backward(loss)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - before < 0.5 * (before - start)
+    assert all(p.grad is not None for p in params)
 
 
 def test_tanh_matmul_matches_finite_differences():
@@ -124,20 +194,21 @@ _ALIASING_GRAPHS = {
 
 def _backward_through(graph, passes):
     """Leaves x, y, b and every intermediate node after ``passes`` forward
-    and backward passes without clearing grads."""
+    and backward passes without clearing grads; each pass's nodes are
+    collected before its backward releases them."""
     rng = np.random.default_rng(7)
     leaves = [Tensor(rng.normal(size=shape), requires_grad=True) for shape in ((3, 4), (3, 4), (4,))]
-    nodes, stack, seen = [], [], set()
+    nodes, seen = [], set()
     for _ in range(passes):
         root = graph(*leaves)
+        stack = [root]
+        while stack:
+            t = stack.pop()
+            if id(t) not in seen and t._parents:
+                seen.add(id(t))
+                nodes.append(t)
+                stack.extend(t._parents)
         ad.backward(root)
-        stack.append(root)
-    while stack:
-        t = stack.pop()
-        if id(t) not in seen and t._parents:
-            seen.add(id(t))
-            nodes.append(t)
-            stack.extend(t._parents)
     return leaves, nodes
 
 
@@ -154,7 +225,7 @@ def test_kept_gradients_share_no_memory_and_equal_copied_ones(name, passes, monk
             assert t.grad.strides == ref.grad.strides and t.grad.tobytes() == ref.grad.tobytes()
     for i, g in enumerate(grads):
         assert not any(np.shares_memory(g, other) for other in grads[i + 1 :])
-        assert not any(np.shares_memory(g, node.grad) for node in nodes if node.grad is not None)
+    assert nodes and all(node.grad is None for node in nodes)
 
 
 _SMOOTH_OPS = {
