@@ -19,16 +19,20 @@ capped at 32 MiB) with a fresh mapping and unmaps it on free, and it hands
 free memory at the top of the heap back to the kernel once more than its
 trim threshold (128 KiB) has gathered there. Either way the kernel zeroes
 and faults in the same pages again on the next gradient step. On import
-this module therefore sets, once, glibc's ``M_MMAP_THRESHOLD`` to 1 GiB and
-its ``M_TRIM_THRESHOLD`` to 256 MiB, so that freed temporaries stay on the
-heap and are reused. Every temporary of the largest config stays below
-1 GiB, while the multi-gigabyte replay ring stays mmapped. Measured on a
-seeded desk.cfg run of 300 gradient steps (one BLAS thread, 2-vCPU Xeon),
-the trim threshold took minor faults from 987k to 15k, system time from
-2.7-3.0 s to 0.05 s and wall time from 25.0-26.1 s to 20.5-22.7 s, at the
-same peak resident memory (97-98 MB). The desk benchmark's rounds fault next to
-never without it either; there it saves no time and keeps about 4 MB more
-at the peak. Where ``mallopt`` does not exist this does nothing.
+this module therefore sets, once, both glibc's ``M_MMAP_THRESHOLD`` and its
+``M_TRIM_THRESHOLD`` to 1 GiB: any block the heap serves also stays on the
+heap, freed temporaries are reused, and only more than 1 GiB of free memory
+at the top of the heap goes back to the kernel. Every temporary of the
+largest config stays below 1 GiB, while the multi-gigabyte replay ring
+stays mmapped. Measured on a seeded desk.cfg run of 300 gradient steps (one
+BLAS thread, 2-vCPU Xeon), a 256 MiB trim threshold took minor faults from
+987k to 15k, system time from 2.7-3.0 s to 0.05 s and wall time from
+25.0-26.1 s to 20.5-22.7 s, at the same peak resident memory (97-98 MB).
+At full.cfg shapes 256 MiB still trimmed once ``backward`` freed the tape
+as it walks: 8.3k-9.6k minor faults and 0.50-0.58 s of system time per
+gradient step, against 0-0.6k faults and 0.00-0.04 s at 1 GiB, at the same
+peak resident memory (1.74-1.77 GB). Where ``mallopt`` does not exist this
+does nothing.
 """
 
 from __future__ import annotations
@@ -43,6 +47,7 @@ _grad_enabled = True
 
 _M_TRIM_THRESHOLD = -1  # glibc's mallopt parameter numbers
 _M_MMAP_THRESHOLD = -3
+_HEAP_THRESHOLD = 1 << 30  # bytes, for both
 
 
 def _keep_temporaries_on_heap():
@@ -51,8 +56,8 @@ def _keep_temporaries_on_heap():
     except (AttributeError, OSError, TypeError):
         return
     mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
-    mallopt(_M_MMAP_THRESHOLD, 1 << 30)
-    mallopt(_M_TRIM_THRESHOLD, 256 << 20)
+    mallopt(_M_MMAP_THRESHOLD, _HEAP_THRESHOLD)
+    mallopt(_M_TRIM_THRESHOLD, _HEAP_THRESHOLD)
 
 
 _keep_temporaries_on_heap()
@@ -170,14 +175,16 @@ def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
     return g
 
 
-def _accumulate(t: Tensor, g: np.ndarray, upstream=None, earlier=()):
+def _accumulate(t: Tensor, g: np.ndarray, earlier=()):
     """Add ``g`` into ``t.grad``.
 
-    A fresh float64 array that nothing else holds becomes ``t.grad`` as it
-    is, memory order included. Anything else is copied first, so a later
-    ``+=`` cannot write into another tensor's gradient: the ``upstream``
-    gradient passed through, a view of it or of anything else, and an array
-    already handed to an ``earlier`` parent of the same vjp.
+    A float64 array that owns its memory becomes ``t.grad`` as it is,
+    memory order included. That covers the upstream gradient that ``add``
+    and ``sub`` pass through: ``backward`` releases the node that held it
+    right after its vjp, so nothing else can write through the alias.
+    Anything else is copied first, so a later ``+=`` cannot write into
+    another tensor's gradient: a view of any array, and an array already
+    handed to an ``earlier`` parent of the same vjp.
     """
     if t.grad is not None:
         t.grad += g
@@ -185,7 +192,6 @@ def _accumulate(t: Tensor, g: np.ndarray, upstream=None, earlier=()):
         isinstance(g, np.ndarray)
         and g.base is None
         and g.dtype == np.float64
-        and g is not upstream
         and not any(g is e for e in earlier)
     ):
         t.grad = g
@@ -250,7 +256,7 @@ def backward(root: Tensor):
             grads = node._vjp(node.grad)
             for i, (parent, g) in enumerate(zip(node._parents, grads)):
                 if g is not None and parent.requires_grad:
-                    _accumulate(parent, g, node.grad, grads[:i])
+                    _accumulate(parent, g, grads[:i])
             del grads, g  # not held through the next node's vjp
         node.grad, node._vjp, node._parents = None, _released, ()
 

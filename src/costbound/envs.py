@@ -17,6 +17,7 @@ single-pixel observation, as a fixture for value-iteration cross-checks.
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
 
 import numpy as np
@@ -227,7 +228,16 @@ class ChainEnvConfig:
 
 
 class TabularChainEnv:
-    """Env facade over a TabularCMDP; observation is one pixel encoding the state."""
+    """Env facade over a TabularCMDP; observation is one pixel encoding the state.
+
+    ``step`` runs on Python scalars: the tables are lists and each state's
+    observation is built once. The next state is drawn as
+    ``bisect_right(cdf, rng.random())`` on the transition row's cumulative
+    sum divided by its last entry. That is how ``Generator.choice(p=row)``
+    draws (one ``random()`` per call, then ``searchsorted(side="right")`` on
+    the same normalised cumulative sum), so the state stream and the
+    generator state match ``choice`` draw for draw.
+    """
 
     def __init__(self, config: ChainEnvConfig):
         m = config.cmdp
@@ -238,16 +248,19 @@ class TabularChainEnv:
         self.obs_shape = (1, 1, 1)
         self.action_dim = 1  # actions are integers in [0, num_actions)
         self._rng = np.random.default_rng(config.seed)
-        # normalised as Generator.choice does, so a searchsorted draw equals choice(p=row)
         cdf = np.cumsum(m.transitions, axis=2)
-        self._cdf = cdf / cdf[..., -1:]
+        self._cdf = (cdf / cdf[..., -1:]).tolist()
+        self._rewards = m.rewards.tolist()
+        self._costs = m.costs.tolist()
+        self._num_actions = m.num_actions
+        denom = max(m.num_states - 1, 1)
+        self._obs = [np.array([[[s / denom]]], dtype=np.float64) for s in range(m.num_states)]
         self._state = m.initial_state
         self._steps = 0
         self._done = True
 
     def _observe(self) -> np.ndarray:
-        denom = max(self.cmdp.num_states - 1, 1)
-        return np.array([[[self._state / denom]]], dtype=np.float64)
+        return self._obs[self._state].copy()
 
     def reset(self, seed: int | None = None) -> np.ndarray:
         if seed is not None:
@@ -261,14 +274,13 @@ class TabularChainEnv:
         if self._done:
             raise RuntimeError("step() called on a finished episode; reset() first")
         a = int(action)
-        if not 0 <= a < self.cmdp.num_actions:
+        if not 0 <= a < self._num_actions:
             raise ValueError(f"action {a} out of range")
-        reward = float(self.cmdp.rewards[self._state, a])
-        cost = float(self.cmdp.costs[self._state, a])
-        self._state = int(self._cdf[self._state, a].searchsorted(self._rng.random(), side="right"))
+        s = self._state
+        self._state = bisect.bisect_right(self._cdf[s][a], self._rng.random())
         self._steps += 1
         self._done = self._steps >= self.cfg.episode_limit
-        return StepResult(self._observe(), reward, cost, self._done)
+        return StepResult(self._observe(), self._rewards[s][a], self._costs[s][a], self._done)
 
 
 def write_ppm(path, img_uint8: np.ndarray):

@@ -9,6 +9,7 @@ Monte-Carlo estimators against exact policy evaluation.
 
 from __future__ import annotations
 
+import bisect
 import time
 
 import numpy as np
@@ -196,11 +197,14 @@ class _TableActor:
         self.num_actions = self.cdf.shape[1]
 
     def sample(self, z: Tensor, noise):
+        n = z.data.shape[0]
         states = np.argmax(z.data, axis=1)
-        actions = np.zeros((z.data.shape[0], self.num_actions))
-        for i, s in enumerate(states):
-            actions[i, self.cdf[s].searchsorted(self.rng.random(), side="right")] = 1.0
-        return Tensor(actions), Tensor(np.zeros(z.data.shape[0]))
+        # Generator.random(n) gives the n values of n scalar random() calls,
+        # and the count of CDF entries <= u is searchsorted(u, side="right")
+        u = self.rng.random(n)
+        actions = np.zeros((n, self.num_actions))
+        actions[np.arange(n), (self.cdf[states] <= u[:, None]).sum(axis=1)] = 1.0
+        return Tensor(actions), Tensor(np.zeros(n))
 
 
 def fitted_safety_critic_error(
@@ -276,11 +280,11 @@ def run_tabular_suite(seed: int = 0) -> dict:
     env = TabularChainEnv(ChainEnvConfig(m, episode_limit=300, seed=seed))
     rng = np.random.default_rng(seed + 2)
     cdf = np.cumsum(policy, axis=1)
-    cdf /= cdf[:, -1:]  # as Generator.choice normalises it
+    cdf = (cdf / cdf[:, -1:]).tolist()  # as Generator.choice normalises it
+    top = m.num_states - 1
 
     def act(obs):
-        s = int(round(obs[0, 0, 0] * (m.num_states - 1)))
-        return int(cdf[s].searchsorted(rng.random(), side="right"))
+        return bisect.bisect_right(cdf[round(obs.item() * top)], rng.random())
 
     mean, se = mc_return(env, act, episodes=3000, discount=0.95, signal="cost", seed=seed + 3)
     results["mc_vs_policy_eval"] = (mean, v0, abs(mean - v0) <= 3 * se + 1e-9)

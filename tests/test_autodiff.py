@@ -189,6 +189,10 @@ _ALIASING_GRAPHS = {
     "one vjp array for two parents": lambda x, y, b: (
         ad._node(x.data + y.data, (x, y), lambda g: (g * 1.0,) * 2) * 3.0 + x * y
     ).sum(),
+    # h keeps the add's own gradient, and h * y then adds into it in place
+    "add passes its upstream to a non-leaf": lambda x, y, b: (
+        lambda h: ((h + y) * x + h * y).sum()
+    )(ad.tanh(x)),
 }
 
 

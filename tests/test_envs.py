@@ -1,3 +1,6 @@
+import bisect
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -11,6 +14,7 @@ from costbound.envs import (
     write_ppm,
 )
 from costbound.oracle import TabularCMDP, mc_return, value_iteration
+from costbound.verify import hazard_corridor_cmdp
 
 
 def make_env(**kw):
@@ -252,11 +256,11 @@ def test_chain_env_empirical_returns_match_oracle():
 
     rng = np.random.default_rng(16)
     cdf = np.cumsum(policy_table, axis=1)
-    cdf /= cdf[:, -1:]  # as Generator.choice normalises it, so the draws equal choice(p=row)
+    cdf = (cdf / cdf[:, -1:]).tolist()  # as Generator.choice normalises it, so the draws equal choice(p=row)
+    top = m.num_states - 1
 
     def policy(obs):
-        s = int(round(obs[0, 0, 0] * (m.num_states - 1)))
-        return int(cdf[s].searchsorted(rng.random(), side="right"))
+        return bisect.bisect_right(cdf[round(obs.item() * top)], rng.random())
 
     mean, se = mc_return(env, policy, episodes=4000, discount=0.9, signal="cost", seed=17)
     assert abs(mean - v0) <= 3 * se + 1e-6
@@ -267,6 +271,96 @@ def test_chain_env_rejects_out_of_range_action():
     env.reset(seed=0)
     with pytest.raises(ValueError):
         env.step(5)
+
+
+class _NumpyChainEnv:
+    """``TabularChainEnv``'s reset, step and observation as they were on
+    numpy arrays: the reference for the Python-scalar path."""
+
+    def __init__(self, config: ChainEnvConfig):
+        m = config.cmdp
+        self.cfg = config
+        self.cmdp = m
+        self._rng = np.random.default_rng(config.seed)
+        cdf = np.cumsum(m.transitions, axis=2)
+        self._cdf = cdf / cdf[..., -1:]
+        self._state = m.initial_state
+        self._steps = 0
+        self._done = True
+
+    def _observe(self) -> np.ndarray:
+        denom = max(self.cmdp.num_states - 1, 1)
+        return np.array([[[self._state / denom]]], dtype=np.float64)
+
+    def reset(self, seed=None) -> np.ndarray:
+        if seed is not None:
+            self._rng = np.random.default_rng(seed)
+        self._state = self.cmdp.initial_state
+        self._steps = 0
+        self._done = False
+        return self._observe()
+
+    def step(self, action) -> StepResult:
+        a = int(action)
+        reward = float(self.cmdp.rewards[self._state, a])
+        cost = float(self.cmdp.costs[self._state, a])
+        self._state = int(self._cdf[self._state, a].searchsorted(self._rng.random(), side="right"))
+        self._steps += 1
+        self._done = self._steps >= self.cfg.episode_limit
+        return StepResult(self._observe(), reward, cost, self._done)
+
+
+def random_ten_state_cmdp():
+    """10 states, 3 actions; about a third of the transition entries are zero,
+    so CDF rows hold ties that a draw can land on."""
+    rng = np.random.default_rng(21)
+    t = rng.uniform(size=(10, 3, 10)) * (rng.uniform(size=(10, 3, 10)) < 0.65)
+    t[:, :, 0] += 1e-3
+    t /= t.sum(axis=2, keepdims=True)
+    return TabularCMDP(t, rng.normal(size=(10, 3)), rng.uniform(size=(10, 3)), initial_state=4)
+
+
+@pytest.mark.parametrize("make_cmdp", [hazard_corridor_cmdp, random_ten_state_cmdp])
+def test_scalar_chain_env_matches_the_numpy_reference(make_cmdp):
+    m = make_cmdp()
+    config = ChainEnvConfig(m, episode_limit=37, seed=5)
+    env, ref = TabularChainEnv(config), _NumpyChainEnv(config)
+    actions = np.random.default_rng(8).integers(m.num_actions, size=100_000).tolist()
+    reset_seeds = [None, 0, 1, None, 2**40 + 3, 99, None]
+    steps = episodes = 0
+    while steps < len(actions):
+        seed = reset_seeds[episodes % len(reset_seeds)]
+        prev = env.reset(seed=seed)
+        assert prev.tobytes() == ref.reset(seed=seed).tobytes()
+        episodes += 1
+        done = False
+        while not done and steps < len(actions):
+            r, q = env.step(actions[steps]), ref.step(actions[steps])
+            steps += 1
+            assert (env._state, r.reward, r.cost, r.done) == (ref._state, q.reward, q.cost, q.done)
+            assert type(r.reward) is float and type(r.cost) is float
+            obs = r.observation
+            assert obs.shape == (1, 1, 1) and obs.dtype == np.float64
+            assert obs.tobytes() == q.observation.tobytes()
+            assert obs.flags.writeable and not np.shares_memory(obs, prev)
+            obs[...] = -1.0  # a cached or shared array would show this in a later step
+            prev, done = obs, r.done
+    assert episodes > 100
+    assert env._rng.bit_generator.state == ref._rng.bit_generator.state
+
+
+def test_chain_env_draw_equal_to_a_cdf_entry_moves_past_it():
+    # searchsorted(side="right") as Generator.choice does: u == cdf[k] picks k + 1
+    t = np.tile([0.0, 0.5, 0.5], (3, 1, 1))
+    config = ChainEnvConfig(TabularCMDP(t, np.zeros((3, 1)), np.zeros((3, 1))), episode_limit=9)
+    for env in (TabularChainEnv(config), _NumpyChainEnv(config)):
+        env.reset()
+        env._rng = SimpleNamespace(random=iter([0.0, 0.5, 0.25, 0.0]).__next__)
+        states = []
+        for _ in range(4):
+            env.step(0)
+            states.append(env._state)
+        assert states == [1, 2, 1, 1]
 
 
 def test_write_ppm_formats(tmp_path):
