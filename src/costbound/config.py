@@ -1,9 +1,11 @@
 """Training configuration and the flat key-value config file format.
 
 Files hold one ``key = value`` pair per line; ``#`` starts a comment.
-Keys mirror TrainConfig fields exactly. ``lambda_lr`` has no default on
-purpose: the right value is strongly problem-dependent, so every config
-file must set it explicitly.
+Keys mirror TrainConfig fields exactly, and any other key is rejected.
+Every run trains on HazardWorld frames with the convolutional pixel
+encoder, so no key names the environment or the encoder. ``lambda_lr`` has
+no default on purpose: the right value is strongly problem-dependent, so
+every config file must set it explicitly.
 """
 
 from __future__ import annotations
@@ -16,8 +18,7 @@ from pathlib import Path
 
 @dataclass
 class TrainConfig:
-    # environment
-    env: str = "hazardworld"
+    # environment: HazardWorld
     action_repeat: int = 2
     view_size: int = 16
     view_extent: float = 8.0
@@ -37,7 +38,6 @@ class TrainConfig:
     feature_size: int = 64
     model_hidden: int = 256
     conv_channels: tuple = (16, 32)
-    encoder: str = "auto"
     recon_std: float = 0.4
 
     # actor-critic
@@ -76,7 +76,6 @@ class TrainConfig:
     eval_interval: int = 1000            # base environment steps
     eval_episodes: int = 10
     checkpoint_interval: int = 0         # base env steps; 0 = final only
-    dump_frames: bool = False
     seed: int = 0
 
     def validate(self):
@@ -103,10 +102,6 @@ class TrainConfig:
                 raise ValueError(f"{name} must be nonnegative")
         if not 0.0 < self.target_ema <= 1.0:
             raise ValueError("target_ema must be in (0, 1]")
-        if self.env not in ("hazardworld",):
-            raise ValueError(f"unknown env {self.env!r}")
-        if self.encoder not in ("auto", "conv", "mlp"):
-            raise ValueError(f"unknown encoder {self.encoder!r}")
         base_episode = self.episode_limit * self.action_repeat
         if base_episode > self.replay_capacity:
             raise ValueError("replay_capacity must hold at least one full episode")

@@ -281,22 +281,3 @@ class TabularChainEnv:
         self._steps += 1
         self._done = self._steps >= self.cfg.episode_limit
         return StepResult(self._observe(), self._rewards[s][a], self._costs[s][a], self._done)
-
-
-def write_ppm(path, img_uint8: np.ndarray):
-    """Write [3,H,W] as binary PPM (P6) or [1,H,W]/[H,W] as PGM (P5)."""
-    img = np.asarray(img_uint8)
-    if img.dtype != np.uint8:
-        raise ValueError("expected uint8 image")
-    if img.ndim == 3 and img.shape[0] == 3:
-        h, w = img.shape[1:]
-        header = f"P6\n{w} {h}\n255\n".encode()
-        body = img.transpose(1, 2, 0).tobytes()
-    else:
-        if img.ndim == 3:
-            img = img[0]
-        h, w = img.shape
-        header = f"P5\n{w} {h}\n255\n".encode()
-        body = img.tobytes()
-    with open(path, "wb") as fh:
-        fh.write(header + body)

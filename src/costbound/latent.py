@@ -35,7 +35,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .distributions import DiagGaussian, bernoulli_log_prob, gaussian_log_prob, kl_diag_gaussians
-from .nn import MLP, ConvDecoder, ConvEncoder, GaussianHead, MLPDecoder, MLPEncoder
+from .nn import MLP, ConvDecoder, ConvEncoder, GaussianHead
 
 
 class NonFiniteLossError(RuntimeError):
@@ -52,23 +52,23 @@ class LatentModelConfig:
     hidden_dim: int = 256
     conv_channels: tuple = (16, 32)
     recon_std: float = 0.4
-    encoder: str = "auto"  # auto | conv | mlp
+    # Observations are [C, H, W] pixels and the convolutional encoder is the
+    # only one; the field stays so that callers which name it keep working.
+    encoder: str = "conv"
 
-    def encoder_kind(self) -> str:
-        if self.encoder != "auto":
-            return self.encoder
-        return "conv" if len(self.obs_shape) == 3 else "mlp"
+    def __post_init__(self):
+        if self.encoder != "conv":
+            raise ValueError(f"unknown encoder {self.encoder!r}: the latent model encodes pixels with 'conv'")
 
 
 @dataclass
 class InferredLatents:
-    """Per-timestep latents and the distributions the KL term pairs up."""
+    """Per-timestep posterior latents and their z1 distributions."""
 
     z1: list            # L+1 tensors [B, z1_dim]
     z2: list            # L+1 tensors [B, z2_dim]
     states: list        # L+1 tensors [B, z1_dim + z2_dim]: z1 and z2 side by side
     posteriors: list    # L+1 DiagGaussians over z1
-    priors: list        # L+1 DiagGaussians over z1 (index 0: standard normal)
 
 
 def posterior_noise(rng: np.random.Generator, batch: int, steps: int, cfg: "LatentModelConfig"):
@@ -86,12 +86,8 @@ class LatentModel:
         act = cfg.action_dim
         state = z1 + z2
         hidden = (hid, hid)
-        if cfg.encoder_kind() == "conv":
-            self.encoder = ConvEncoder(cfg.obs_shape, cfg.conv_channels, feat, rng)
-            self.decoder = ConvDecoder(state, cfg.obs_shape, cfg.conv_channels, rng)
-        else:
-            self.encoder = MLPEncoder(cfg.obs_shape, hidden, feat, rng)
-            self.decoder = MLPDecoder(state, cfg.obs_shape, hidden, rng)
+        self.encoder = ConvEncoder(cfg.obs_shape, cfg.conv_channels, feat, rng)
+        self.decoder = ConvDecoder(state, cfg.obs_shape, cfg.conv_channels, rng)
         self.post_init = GaussianHead(feat, hidden, z1, rng)
         self.post_step = GaussianHead(feat + z2 + act, hidden, z1, rng)
         self.prior_step = GaussianHead(z2 + act, hidden, z1, rng)
@@ -100,20 +96,13 @@ class LatentModel:
         self.reward_head = MLP(2 * state + act, hidden, 1, rng)
         self.cost_head = MLP(2 * state + act, hidden, 1, rng)
         self._components = [
-            ("encoder", self.encoder),
-            ("decoder", self.decoder),
-            ("post_init", self.post_init),
-            ("post_step", self.post_step),
-            ("prior_step", self.prior_step),
-            ("z2_init", self.z2_init),
-            ("z2_step", self.z2_step),
-            ("reward_head", self.reward_head),
-            ("cost_head", self.cost_head),
+            self.encoder, self.decoder, self.post_init, self.post_step, self.prior_step,
+            self.z2_init, self.z2_step, self.reward_head, self.cost_head,
         ]
         self._log_recon_std = math.log(cfg.recon_std)
 
     def parameters(self):
-        return [p for _, c in self._components for p in c.parameters()]
+        return [p for c in self._components for p in c.parameters()]
 
     # -- inference -------------------------------------------------------------
 
@@ -139,13 +128,10 @@ class LatentModel:
         if eps1.shape != (b, steps, self.cfg.z1_dim) or eps2.shape != (b, steps, self.cfg.z2_dim):
             raise ValueError("noise shapes do not match the window")
         feats = self.encode_sequence(observations)
-        zeros = Tensor(np.zeros((b, self.cfg.z1_dim)))
         q_t, z1_t, z2_t = self._first_step(feats[0], eps1[:, 0], eps2[:, 0])
-        z1s, z2s = [z1_t], [z2_t]
-        posteriors, priors = [q_t], [DiagGaussian(zeros, zeros)]
+        z1s, z2s, posteriors = [z1_t], [z2_t], [q_t]
         for t in range(1, steps):
             a = Tensor(actions[:, t - 1])
-            priors.append(self.prior_step(ad.concat([z2_t, a], axis=1)))
             q_t, z1_t, z2_t = self._next_step(feats[t], z2_t, a, eps1[:, t], eps2[:, t])
             z1s.append(z1_t)
             z2s.append(z2_t)
@@ -153,7 +139,16 @@ class LatentModel:
         if not np.all(np.isfinite(z1_t.data)) or not np.all(np.isfinite(z2_t.data)):
             raise NonFiniteLossError("latent inference produced non-finite values")
         states = [ad.concat([z1, z2], axis=1) for z1, z2 in zip(z1s, z2s)]
-        return InferredLatents(z1s, z2s, states, posteriors, priors)
+        return InferredLatents(z1s, z2s, states, posteriors)
+
+    def priors(self, z2s: list, actions: np.ndarray) -> list:
+        """The generative z1 factors of a window: a standard normal for the
+        first step, then p(z1_t | z2_t-1, a_t-1) at the inferred ``z2s``."""
+        zeros = Tensor(np.zeros((actions.shape[0], self.cfg.z1_dim)))
+        return [DiagGaussian(zeros, zeros)] + [
+            self.prior_step(ad.concat([z2s[t - 1], Tensor(actions[:, t - 1])], axis=1))
+            for t in range(1, len(z2s))
+        ]
 
     # -- the posterior recurrence, shared by the training window and the filter --
 
@@ -212,10 +207,11 @@ class LatentModel:
             cost_nll = Tensor(0.0)
 
         # KL over z1 at every sample point (z2 factors are shared and cancel)
+        priors = self.priors(inf.z2, actions)
         q_mean = ad.concat([d.mean for d in inf.posteriors], axis=0)
         q_ls = ad.concat([d.log_std for d in inf.posteriors], axis=0)
-        p_mean = ad.concat([d.mean for d in inf.priors], axis=0)
-        p_ls = ad.concat([d.log_std for d in inf.priors], axis=0)
+        p_mean = ad.concat([d.mean for d in priors], axis=0)
+        p_ls = ad.concat([d.log_std for d in priors], axis=0)
         kl = kl_diag_gaussians(DiagGaussian(q_mean, q_ls), DiagGaussian(p_mean, p_ls)).sum() / b
 
         loss = recon_nll + reward_nll + cost_nll + kl

@@ -169,32 +169,3 @@ class ConvDecoder:
 
     def parameters(self):
         return self.up.parameters() + self.deconv1.parameters() + self.deconv2.parameters()
-
-
-class MLPEncoder:
-    """Fallback for flat observations: flatten and run an MLP."""
-
-    def __init__(self, obs_shape, hidden: tuple, feature_dim: int, rng: np.random.Generator):
-        self.in_dim = int(np.prod(obs_shape))
-        self.net = MLP(self.in_dim, hidden, feature_dim, rng)
-
-    def __call__(self, x: Tensor) -> Tensor:
-        n = x.shape[0]
-        return self.net(x.reshape(n, self.in_dim))
-
-    def parameters(self):
-        return self.net.parameters()
-
-
-class MLPDecoder:
-    def __init__(self, in_dim: int, obs_shape, hidden: tuple, rng: np.random.Generator):
-        self.obs_shape = tuple(obs_shape)
-        self.out_dim = int(np.prod(obs_shape))
-        self.net = MLP(in_dim, hidden, self.out_dim, rng)
-
-    def __call__(self, z: Tensor) -> Tensor:
-        n = z.shape[0]
-        return self.net(z).reshape(n, *self.obs_shape)
-
-    def parameters(self):
-        return self.net.parameters()

@@ -36,7 +36,7 @@ from .agent import (
 from .autodiff import Tensor
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from .config import TrainConfig
-from .envs import ActionRepeat, HazardWorld, HazardWorldConfig, write_ppm
+from .envs import ActionRepeat, HazardWorld, HazardWorldConfig
 from .latent import LatentModel, LatentModelConfig, NonFiniteLossError, posterior_noise
 from .optim import Adam, clip_grad_norm, ema_update
 from .replay import ReplayBuffer, _rng_from_meta, _rng_state_to_meta
@@ -118,7 +118,7 @@ def load_metrics(path) -> np.ndarray:
 
 
 class Trainer:
-    CHECKPOINT_STATE_VERSION = 1
+    CHECKPOINT_STATE_VERSION = 2
 
     def __init__(self, cfg: TrainConfig, out_dir):
         cfg.validate()
@@ -153,7 +153,6 @@ class Trainer:
             hidden_dim=cfg.model_hidden,
             conv_channels=cfg.conv_channels,
             recon_std=cfg.recon_std,
-            encoder=cfg.encoder,
         )
         self.model = LatentModel(model_cfg, init_rng)
         state_dim = cfg.z1_size + cfg.z2_size
@@ -386,28 +385,24 @@ class Trainer:
 
     # -- evaluation -------------------------------------------------------------------
 
-    def evaluate(self, episodes: int | None = None, dump_frames: bool = False):
+    def evaluate(self, episodes: int | None = None):
         """Mean undiscounted reward and cost returns of the deterministic
         policy over evaluation episodes; touches no learned or collected
         state."""
         episodes = self.cfg.eval_episodes if episodes is None else episodes
+        if episodes < 1:
+            raise ValueError(f"episodes must be at least 1, got {episodes}")
         cfg = self.model.cfg
         zero1 = np.zeros(cfg.z1_dim)
         zero2 = np.zeros(cfg.z2_dim)
         rewards = np.zeros(episodes)
         costs = np.zeros(episodes)
-        frames_dir = self.out_dir / "frames"
         for ep in range(episodes):
             seed = self.eval_seeds[ep % len(self.eval_seeds)]
             obs = self.eval_env.reset(seed=seed)
             z = self.model.filter_init(obs, zero1, zero2)
             done = False
-            frame = 0
             while not done:
-                if dump_frames and ep == 0 and frame < 5:
-                    frames_dir.mkdir(exist_ok=True)
-                    img = np.rint(obs * 255.0).astype(np.uint8)
-                    write_ppm(frames_dir / f"step{self.env_step}_f{frame}.ppm", img)
                 state = np.concatenate([z[0], z[1]])[None]
                 with ad.no_grad():
                     action = self.actor.mode(Tensor(state)).data[0]
@@ -417,13 +412,11 @@ class Trainer:
                 done = result.done
                 if not done:
                     z = self.model.filter_step(z, action, result.observation, zero1, zero2)
-                obs = result.observation
-                frame += 1
         return float(rewards.mean()), float(costs.mean())
 
     def _maybe_eval(self):
         while self.env_step >= self.eval_next:
-            reward_mean, cost_mean = self.evaluate(dump_frames=self.cfg.dump_frames)
+            reward_mean, cost_mean = self.evaluate()
             self._record_metrics(reward_mean, cost_mean)
             self.eval_next += self.cfg.eval_interval
 

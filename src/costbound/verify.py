@@ -72,7 +72,6 @@ def run_gradient_suite(seed: int = 0) -> dict:
         hidden_dim=4,
         conv_channels=(2, 3),
         recon_std=0.4,
-        encoder="conv",
     )
     model = LatentModel(cfg, rng)
     batch = SequenceBatch(

@@ -5,6 +5,7 @@ import pytest
 
 from costbound import verify
 from costbound.autodiff import Tensor
+from costbound.checkpoint import load_checkpoint, save_checkpoint
 from costbound.cli import main
 from costbound.config import save_config
 from costbound.trainer import METRICS_HEADER, load_metrics, normalized_metrics
@@ -40,6 +41,24 @@ def test_evaluate_prints_reward_and_cost(trained, capsys):
     printed = dict(line.split("=") for line in capsys.readouterr().out.splitlines())
     assert printed.keys() == {"reward_mean", "cost_mean"}
     assert all(np.isfinite(float(value)) for value in printed.values())
+
+
+@pytest.mark.parametrize("episodes", [0, -1])
+def test_evaluate_of_fewer_than_one_episode_exits_two(trained, capsys, episodes):
+    _, root = trained
+    assert main(["evaluate", "--checkpoint", str(root / "run" / "final.ckpt"), "--episodes", str(episodes)]) == 2
+    assert_one_error_line(capsys, f"episodes must be at least 1, got {episodes}")
+
+
+def test_evaluate_of_a_state_version_1_checkpoint_exits_two(trained, tmp_path, capsys):
+    # a version-1 header also carried the env, encoder and dump_frames keys
+    _, root = trained
+    meta, arrays = load_checkpoint(root / "run" / "final.ckpt")
+    meta["state_version"] = 1
+    meta["config"].update(env="hazardworld", encoder="conv", dump_frames=False)
+    save_checkpoint(tmp_path / "v1.ckpt", meta, arrays)
+    assert main(["evaluate", "--checkpoint", str(tmp_path / "v1.ckpt")]) == 2
+    assert_one_error_line(capsys, "unsupported trainer state version 1")
 
 
 def write_metrics(path, reward, cost, steps=(100, 200)):

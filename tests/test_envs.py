@@ -11,7 +11,6 @@ from costbound.envs import (
     HazardWorldConfig,
     StepResult,
     TabularChainEnv,
-    write_ppm,
 )
 from costbound.oracle import TabularCMDP, mc_return, value_iteration
 from costbound.verify import hazard_corridor_cmdp
@@ -361,15 +360,3 @@ def test_chain_env_draw_equal_to_a_cdf_entry_moves_past_it():
             env.step(0)
             states.append(env._state)
         assert states == [1, 2, 1, 1]
-
-
-def test_write_ppm_formats(tmp_path):
-    img = (np.arange(3 * 4 * 4).reshape(3, 4, 4) % 256).astype(np.uint8)
-    p6 = tmp_path / "img.ppm"
-    write_ppm(p6, img)
-    data = p6.read_bytes()
-    assert data.startswith(b"P6\n4 4\n255\n")
-    assert len(data) == len(b"P6\n4 4\n255\n") + 3 * 16
-    p5 = tmp_path / "img.pgm"
-    write_ppm(p5, img[0])
-    assert p5.read_bytes().startswith(b"P5\n4 4\n255\n")

@@ -8,9 +8,12 @@ from costbound.oracle import finite_diff_grad, grad_rel_error
 from costbound.replay import SequenceBatch
 
 
-def tiny_config(encoder="mlp", obs_shape=(4,)):
+OBS = (1, 4, 4)
+
+
+def tiny_config():
     return LatentModelConfig(
-        obs_shape=obs_shape,
+        obs_shape=OBS,
         action_dim=2,
         z1_dim=2,
         z2_dim=3,
@@ -18,13 +21,12 @@ def tiny_config(encoder="mlp", obs_shape=(4,)):
         hidden_dim=4,
         conv_channels=(2, 3),
         recon_std=0.4,
-        encoder=encoder,
     )
 
 
-def tiny_batch(rng, b=3, l=2, obs_shape=(4,)):
+def tiny_batch(rng, b=3, l=2):
     return SequenceBatch(
-        observations=rng.normal(size=(b, l + 1, *obs_shape)) * 0.5,
+        observations=rng.normal(size=(b, l + 1, *OBS)) * 0.5,
         actions=rng.uniform(-1, 1, size=(b, l, 2)),
         rewards=rng.normal(size=(b, l)),
         costs=(rng.uniform(size=(b, l)) < 0.3).astype(np.float64),
@@ -35,20 +37,21 @@ def tiny_batch(rng, b=3, l=2, obs_shape=(4,)):
 def test_single_observation_window():
     rng = np.random.default_rng(0)
     model = LatentModel(tiny_config(), rng)
-    obs = rng.normal(size=(2, 1, 4))
+    obs = rng.normal(size=(2, 1, *OBS))
     actions = np.zeros((2, 0, 2))
     noise = posterior_noise(np.random.default_rng(1), 2, 1, model.cfg)
     inf = model.infer_posterior(obs, actions, noise)
     assert len(inf.z1) == 1 and len(inf.z2) == 1
     # the prior over the first z1 is the fixed standard normal
-    assert np.array_equal(inf.priors[0].mean.data, np.zeros((2, 2)))
-    assert np.array_equal(inf.priors[0].log_std.data, np.zeros((2, 2)))
+    (prior,) = model.priors(inf.z2, actions)
+    assert np.array_equal(prior.mean.data, np.zeros((2, 2)))
+    assert np.array_equal(prior.log_std.data, np.zeros((2, 2)))
 
 
 def test_zero_noise_follows_distribution_means():
     rng = np.random.default_rng(2)
     model = LatentModel(tiny_config(), rng)
-    obs = rng.normal(size=(1, 3, 4))
+    obs = rng.normal(size=(1, 3, *OBS))
     actions = rng.uniform(-1, 1, size=(1, 2, 2))
     zero = (np.zeros((1, 3, 2)), np.zeros((1, 3, 3)))
     inf = model.infer_posterior(obs, actions, zero)
@@ -59,7 +62,7 @@ def test_zero_noise_follows_distribution_means():
 def test_inference_deterministic_for_fixed_noise():
     rng = np.random.default_rng(3)
     model = LatentModel(tiny_config(), rng)
-    obs = rng.normal(size=(2, 4, 4))
+    obs = rng.normal(size=(2, 4, *OBS))
     actions = rng.uniform(-1, 1, size=(2, 3, 2))
     noise = posterior_noise(np.random.default_rng(9), 2, 4, model.cfg)
     a = model.infer_posterior(obs, actions, noise)
@@ -73,7 +76,7 @@ def test_shape_contract_full_window():
     rng = np.random.default_rng(4)
     model = LatentModel(tiny_config(), rng)
     b, l = 5, 3
-    obs = rng.normal(size=(b, l + 1, 4))
+    obs = rng.normal(size=(b, l + 1, *OBS))
     actions = rng.uniform(-1, 1, size=(b, l, 2))
     noise = posterior_noise(np.random.default_rng(5), b, l + 1, model.cfg)
     inf = model.infer_posterior(obs, actions, noise)
@@ -88,7 +91,7 @@ def test_shared_z2_transition_reproduces_inference_path():
     rng = np.random.default_rng(6)
     model = LatentModel(tiny_config(), rng)
     b, l = 2, 3
-    obs = rng.normal(size=(b, l + 1, 4))
+    obs = rng.normal(size=(b, l + 1, *OBS))
     actions = rng.uniform(-1, 1, size=(b, l, 2))
     noise = posterior_noise(np.random.default_rng(7), b, l + 1, model.cfg)
     inf = model.infer_posterior(obs, actions, noise)
@@ -100,13 +103,12 @@ def test_shared_z2_transition_reproduces_inference_path():
         assert np.array_equal(replayed.data, inf.z2[t].data)
 
 
-@pytest.mark.parametrize("encoder, obs_shape", [("mlp", (4,)), ("conv", (1, 4, 4))])
-def test_online_filter_retraces_the_training_window(encoder, obs_shape):
+def test_online_filter_retraces_the_training_window():
     # one window at B=1, filtered online with the window's own noise
     rng = np.random.default_rng(26)
-    model = LatentModel(tiny_config(encoder, obs_shape), rng)
+    model = LatentModel(tiny_config(), rng)
     l = 3
-    obs = rng.normal(size=(1, l + 1, *obs_shape))
+    obs = rng.normal(size=(1, l + 1, *OBS))
     actions = rng.uniform(-1, 1, size=(1, l, 2))
     eps1, eps2 = posterior_noise(np.random.default_rng(27), 1, l + 1, model.cfg)
     inf = model.infer_posterior(obs, actions, (eps1, eps2))
@@ -147,11 +149,11 @@ def test_model_loss_kl_asymmetric_pairing():
 
     rng = np.random.default_rng(15)
     model = LatentModel(tiny_config(), rng)
-    obs = rng.normal(size=(2, 3, 4))
+    obs = rng.normal(size=(2, 3, *OBS))
     actions = rng.uniform(-1, 1, size=(2, 2, 2))
     noise = posterior_noise(np.random.default_rng(16), 2, 3, model.cfg)
     inf = model.infer_posterior(obs, actions, noise)
-    q, p = inf.posteriors[1], inf.priors[1]
+    q, p = inf.posteriors[1], model.priors(inf.z2, actions)[1]
     forward = kl_diag_gaussians(q, p).sum().item()
     backward = kl_diag_gaussians(p, q).sum().item()
     assert not np.isclose(forward, backward)
@@ -185,19 +187,21 @@ def test_model_loss_gradients_match_finite_differences():
 
 def test_model_loss_training_reduces_loss_on_linear_gaussian_data():
     # synthetic dataset: scalar latent s_{t+1} = 0.9 s_t + 0.5 a + noise,
-    # obs = [s, s^2-ish features], reward = s, cost = 1[s > 1]
+    # obs = four features of s as a 2x2 block tiled over a 4x4 frame,
+    # reward = s, cost = 1[s > 1]
     from costbound.optim import Adam, clip_grad_norm
 
     rng = np.random.default_rng(19)
     n_seq, l = 20, 4
-    obs = np.zeros((n_seq, l + 1, 4))
+    obs = np.zeros((n_seq, l + 1, *OBS))
     actions = rng.uniform(-1, 1, size=(n_seq, l, 2))
     rewards = np.zeros((n_seq, l))
     costs = np.zeros((n_seq, l))
     for i in range(n_seq):
         s = rng.normal() * 0.5
         for t in range(l + 1):
-            obs[i, t] = [s, 0.5 * s, -s, 0.2] + rng.normal(size=4) * 0.05
+            features = np.array([s, 0.5 * s, -s, 0.2]) + rng.normal(size=4) * 0.05
+            obs[i, t, 0] = np.tile(features.reshape(2, 2), (2, 2))
             if t < l:
                 s = 0.9 * s + 0.5 * actions[i, t, 0] + rng.normal() * 0.1
                 rewards[i, t] = s
@@ -236,10 +240,16 @@ def test_non_finite_loss_raises():
 
 def test_conv_encoder_path_shapes():
     rng = np.random.default_rng(24)
-    cfg = tiny_config(encoder="conv", obs_shape=(1, 4, 4))
+    cfg = tiny_config()
     model = LatentModel(cfg, rng)
-    batch = tiny_batch(rng, b=2, l=1, obs_shape=(1, 4, 4))
+    batch = tiny_batch(rng, b=2, l=1)
     noise = posterior_noise(np.random.default_rng(25), 2, 2, cfg)
     loss, parts = model.model_loss(batch, noise)
     assert np.isfinite(loss.item())
     assert parts["kl"] >= 0.0
+
+
+@pytest.mark.parametrize("encoder", ["mlp", "auto"])
+def test_an_encoder_other_than_conv_is_rejected(encoder):
+    with pytest.raises(ValueError, match="unknown encoder"):
+        LatentModelConfig(obs_shape=OBS, action_dim=2, encoder=encoder)

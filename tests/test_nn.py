@@ -2,7 +2,7 @@ import numpy as np
 
 from costbound import autodiff as ad
 from costbound.autodiff import Tensor
-from costbound.nn import MLP, Conv2d, ConvDecoder, ConvEncoder, Linear, MLPDecoder, MLPEncoder
+from costbound.nn import MLP, Conv2d, ConvDecoder, ConvEncoder, Linear
 from costbound.oracle import finite_diff_grad, grad_rel_error
 
 
@@ -65,14 +65,6 @@ def test_conv_encoder_decoder_round_trip_shapes():
     assert feat.shape == (5, 32)
     out = dec(Tensor(rng.normal(size=(5, 12))))
     assert out.shape == (5, 3, 16, 16)
-
-
-def test_mlp_encoder_decoder_round_trip_shapes():
-    rng = np.random.default_rng(5)
-    enc = MLPEncoder((6,), (8,), 4, rng)
-    dec = MLPDecoder(3, (6,), (8,), rng)
-    assert enc(Tensor(rng.normal(size=(2, 6)))).shape == (2, 4)
-    assert dec(Tensor(rng.normal(size=(2, 3)))).shape == (2, 6)
 
 
 def test_conv_encoder_gradient_matches_finite_differences():
