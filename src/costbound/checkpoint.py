@@ -8,9 +8,8 @@ and atomically renamed, and a load parses and verifies everything before
 any state is handed back, so a truncated or corrupted file never applies
 partial state.
 
-Small arrays may also sit inside the metadata: an ndarray there is
-written into the header as ``{"__array__": nested list}`` and read back
-as a float64 array.
+The metadata is plain JSON: a value that JSON cannot hold, an ndarray
+included, raises ``TypeError`` before anything is written.
 """
 
 from __future__ import annotations
@@ -34,18 +33,6 @@ class CheckpointError(RuntimeError):
     pass
 
 
-def _encode(value):
-    if not isinstance(value, np.ndarray):
-        raise TypeError(f"cannot store {type(value).__name__} in a checkpoint header")
-    return {"__array__": value.tolist()}
-
-
-def _decode(obj: dict):
-    if len(obj) == 1 and "__array__" in obj:
-        return np.array(obj["__array__"], dtype=np.float64)
-    return obj
-
-
 def save_checkpoint(path, meta: dict, arrays: dict):
     entries = []
     offset = 0
@@ -62,7 +49,6 @@ def save_checkpoint(path, meta: dict, arrays: dict):
         {"format_version": FORMAT_VERSION, "meta": meta, "arrays": entries},
         sort_keys=True,
         separators=(",", ":"),
-        default=_encode,
     ).encode()
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
@@ -94,7 +80,7 @@ def load_checkpoint(path):
     header_start = len(MAGIC) + 12
     if header_start + header_len > len(body):
         raise CheckpointError("checkpoint header overruns the file")
-    header = json.loads(bytes(body[header_start : header_start + header_len]), object_hook=_decode)
+    header = json.loads(bytes(body[header_start : header_start + header_len]))
     payload = body[header_start + header_len :]
     arrays, offset = {}, 0
     for entry in header["arrays"]:

@@ -127,8 +127,8 @@ class TrainConfig:
 def _parse_value(field: dataclasses.Field, raw: str):
     raw = raw.strip()
     ftype = field.type
-    if ftype in ("float | None", "int | None"):
-        if raw.lower() in ("none", "auto"):
+    if ftype == "float | None":
+        if raw.lower() == "none":
             return None
         return float(raw)
     if ftype == "bool":
@@ -141,9 +141,7 @@ def _parse_value(field: dataclasses.Field, raw: str):
         return int(raw)
     if ftype == "float":
         return float(raw)
-    if ftype == "tuple":
-        return tuple(int(part) for part in raw.split(","))
-    return raw  # str
+    return tuple(int(part) for part in raw.split(","))  # the one tuple field, conv_channels
 
 
 def load_config(path, overrides: dict | None = None) -> TrainConfig:

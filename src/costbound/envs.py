@@ -158,10 +158,11 @@ class HazardWorld:
     # -- explicit state (checkpointing) ---------------------------------------------
 
     def get_state(self) -> dict:
+        """Plain JSON values; ``set_state`` takes them back."""
         return {
-            "pos": self._pos.copy(),
-            "goal": self._goal.copy(),
-            "hazards": np.array(self._hazards).reshape(-1, 2),
+            "pos": self._pos.tolist(),
+            "goal": self._goal.tolist(),
+            "hazards": np.array(self._hazards).reshape(-1, 2).tolist(),
             "goal_dist": self._goal_dist,
             "steps": self._steps,
             "done": self._done,
@@ -186,7 +187,6 @@ class ActionRepeat:
             raise ValueError("repeat must be >= 1")
         self.env = env
         self.repeat = repeat
-        self.base_steps_taken = 0
 
     @property
     def obs_shape(self):
@@ -205,19 +205,11 @@ class ActionRepeat:
         result = None
         for _ in range(self.repeat):
             result = self.env.step(action)
-            self.base_steps_taken += 1
             total_reward += result.reward
             total_cost += result.cost
             if result.done:
                 break
         return StepResult(result.observation, total_reward, total_cost, result.done)
-
-    def get_state(self) -> dict:
-        return {"base_steps_taken": self.base_steps_taken, "env": self.env.get_state()}
-
-    def set_state(self, state: dict):
-        self.base_steps_taken = int(state["base_steps_taken"])
-        self.env.set_state(state["env"])
 
 
 @dataclass

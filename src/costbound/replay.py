@@ -19,6 +19,11 @@ them back to the same float64 values.
 When the ring is full, the oldest whole episode is dropped before the
 next record is written; the episode currently being written is never
 evicted, so it must fit in ``capacity`` records.
+
+``state`` and ``load_state`` carry the buffer through a checkpoint: a
+plain-JSON meta (episode lengths, open flag, the PCG64 state of the
+sampling generator as numpy reports it) and the five record arrays. The
+stored frames' uint8 dtype is checked against the ring's own arrays.
 """
 
 from __future__ import annotations
@@ -140,24 +145,18 @@ class ReplayBuffer:
     # -- serialization (documented layout, used by checkpoints) ----------------
 
     def state(self):
-        """(meta, arrays): episode lengths + open flag, and the live records
-        as flat arrays in chronological order."""
+        """(meta, arrays): the JSON meta holds the live episode lengths, the
+        open flag and the sampling generator's state; the arrays are the
+        live records in chronological order."""
         lengths = np.diff(self._starts + [self._count]).tolist()
         is_open = lengths[-1] > 0
         if not is_open:
             lengths.pop()
-        meta = {
-            "lengths": lengths,
-            "open": is_open,
-            "rng": _rng_state_to_meta(self._rng),
-            "obs_dtype": "uint8",
-        }
+        meta = {"lengths": lengths, "open": is_open, "rng": self._rng.bit_generator.state}
         rows = np.arange(self._starts[0], self._count) % self.capacity
         return meta, {name: values[rows] for name, values in self._records.items()}
 
     def load_state(self, meta, arrays):
-        if meta["obs_dtype"] != "uint8":
-            raise ValueError(f"replay frames must be uint8, not {meta['obs_dtype']}")
         lengths = [int(n) for n in meta["lengths"]]
         n = sum(lengths)
         if n > self.capacity or any(k < 1 for k in lengths):
@@ -166,33 +165,11 @@ class ReplayBuffer:
             stored, rows = arrays[name], values[:n]
             if (stored.shape, stored.dtype) != (rows.shape, rows.dtype):
                 raise ValueError(f"{name} is {stored.dtype}{stored.shape}, not {rows.dtype}{rows.shape}")
+        # numpy raises ValueError for the state of another bit generator
+        self._rng.bit_generator.state = meta["rng"]
         for name, values in self._records.items():
             values[:n] = arrays[name]
         self._count = n
         self._starts = np.cumsum([0] + lengths).tolist()
         if meta["open"] and lengths:
             self._starts.pop()
-        self._rng = _rng_from_meta(meta["rng"])
-
-
-def _rng_state_to_meta(rng: np.random.Generator) -> dict:
-    state = rng.bit_generator.state
-    return {
-        "bit_generator": state["bit_generator"],
-        "state": {k: str(v) for k, v in state["state"].items()},
-        "has_uint32": int(state["has_uint32"]),
-        "uinteger": int(state["uinteger"]),
-    }
-
-
-def _rng_from_meta(meta: dict) -> np.random.Generator:
-    rng = np.random.default_rng(0)
-    if meta["bit_generator"] != rng.bit_generator.state["bit_generator"]:
-        raise ValueError(f"unsupported bit generator {meta['bit_generator']}")
-    rng.bit_generator.state = {
-        "bit_generator": meta["bit_generator"],
-        "state": {k: int(v) for k, v in meta["state"].items()},
-        "has_uint32": int(meta["has_uint32"]),
-        "uinteger": int(meta["uinteger"]),
-    }
-    return rng

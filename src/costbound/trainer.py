@@ -13,6 +13,13 @@ policy and the mean-path latent filter, and never touch learned state.
 
 ``env_step`` counts base environment steps everywhere (one agent decision
 advances it by the action-repeat factor).
+
+A checkpoint's header holds each fact of the run state once, as plain
+JSON: the scalar fields below, the optimizer step counts, the Lagrange
+multiplier, the generators' states, the HazardWorld state and the replay
+buffer's meta. What follows from them is not stored: the warmup decisions
+collected are ``env_step // action_repeat``, and the filter is live in
+the main phase.
 """
 
 from __future__ import annotations
@@ -39,14 +46,14 @@ from .config import TrainConfig
 from .envs import ActionRepeat, HazardWorld, HazardWorldConfig
 from .latent import LatentModel, LatentModelConfig, NonFiniteLossError, posterior_noise
 from .optim import Adam, clip_grad_norm, ema_update
-from .replay import ReplayBuffer, _rng_from_meta, _rng_state_to_meta
+from .replay import ReplayBuffer
 
 METRICS_HEADER = "step,reward_mean,cost_mean,lambda,alpha,model_loss,q1_loss,q2_loss,qc_loss,policy_loss"
 
 # scalar run state that checkpoints carry in their JSON header as is
 _STATE_FIELDS = (
-    "phase", "env_step", "warmup_collected", "warmup_model_done", "grad_accum",
-    "ep_reward", "ep_cost", "eval_next", "ckpt_next", "metrics_rows", "loss_sums", "loss_counts",
+    "phase", "env_step", "warmup_model_done", "grad_accum", "ep_cost",
+    "eval_next", "ckpt_next", "metrics_rows", "loss_sums", "loss_counts",
 )
 
 
@@ -118,7 +125,7 @@ def load_metrics(path) -> np.ndarray:
 
 
 class Trainer:
-    CHECKPOINT_STATE_VERSION = 2
+    CHECKPOINT_STATE_VERSION = 3
 
     def __init__(self, cfg: TrainConfig, out_dir):
         cfg.validate()
@@ -137,7 +144,9 @@ class Trainer:
             "model": np.random.default_rng(children[5]),
             "ac": np.random.default_rng(children[6]),
         }
-        self.eval_seeds = [int(s) for s in children[7].generate_state(max(cfg.eval_episodes, 1))]
+        # evaluate draws its episode seeds from here: n episodes get n
+        # distinct seeds, and the first ones do not depend on n
+        self.eval_seed_sequence = children[7]
 
         self.env = build_env(cfg, env_seed)
         self.eval_env = build_env(cfg, env_seed)
@@ -184,10 +193,8 @@ class Trainer:
 
         self.phase = "warmup_collect"
         self.env_step = 0
-        self.warmup_collected = 0
         self.warmup_model_done = 0
         self.grad_accum = 0.0
-        self.ep_reward = 0.0
         self.ep_cost = 0.0
         self.eval_next = cfg.eval_interval
         self.ckpt_next = cfg.checkpoint_interval if cfg.checkpoint_interval else None
@@ -219,12 +226,11 @@ class Trainer:
             if self.env_step >= cfg.total_env_steps:
                 break
             if self.phase == "warmup_collect":
-                if self.warmup_collected >= cfg.warmup_transitions:
+                if self.env_step >= cfg.warmup_transitions * cfg.action_repeat:
                     self.phase = "warmup_model"
                     continue
                 action = truncated_normal(self.rngs["warmup"], cfg.warmup_policy_std, self.action_dim)
                 self._collect(action, warmup=True)
-                self.warmup_collected += 1
                 self._maybe_checkpoint()
             elif self.phase == "warmup_model":
                 if self.warmup_model_done >= cfg.warmup_model_steps or not self._has_data():
@@ -234,8 +240,8 @@ class Trainer:
                 self.warmup_model_done += 1
             else:  # main
                 action = self._policy_action()
-                delta = self._collect(action, warmup=False)
-                self.grad_accum += delta * cfg.grad_steps_per_env_step
+                self._collect(action, warmup=False)
+                self.grad_accum += cfg.action_repeat * cfg.grad_steps_per_env_step
                 while self.grad_accum >= 1.0:
                     self.grad_accum -= 1.0
                     self._gradient_step()
@@ -250,7 +256,6 @@ class Trainer:
 
     def _enter_main_phase(self):
         self.buffer.end_episode()
-        self.ep_reward = 0.0
         self.ep_cost = 0.0
         self.obs = self.env.reset()
         self._filter_reset()
@@ -261,18 +266,17 @@ class Trainer:
 
     # -- collection ------------------------------------------------------------------
 
-    def _collect(self, action: np.ndarray, warmup: bool) -> int:
-        before = self.env.base_steps_taken
+    def _collect(self, action: np.ndarray, warmup: bool):
         result = self.env.step(action)
-        delta = self.env.base_steps_taken - before
-        self.env_step += delta
+        # exact: build_env makes every episode a whole number of decisions,
+        # so ActionRepeat never stops early here (perfbench's
+        # checks.schedule counts base steps the same way)
+        self.env_step += self.cfg.action_repeat
         self.buffer.append(self.obs, action, result.reward, result.cost, result.done)
-        self.ep_reward += result.reward
         self.ep_cost += result.cost
         if result.done:
             if not warmup and self.cfg.constrained:
                 self.lagrange.update(self.ep_cost)
-            self.ep_reward = 0.0
             self.ep_cost = 0.0
             self.obs = self.env.reset()
             if not warmup:
@@ -281,7 +285,6 @@ class Trainer:
             if not warmup:
                 self._filter_update(action, result.observation)
             self.obs = result.observation
-        return delta
 
     def _filter_reset(self):
         cfg = self.model.cfg
@@ -392,13 +395,13 @@ class Trainer:
         episodes = self.cfg.eval_episodes if episodes is None else episodes
         if episodes < 1:
             raise ValueError(f"episodes must be at least 1, got {episodes}")
+        seeds = self.eval_seed_sequence.generate_state(episodes).tolist()
         cfg = self.model.cfg
         zero1 = np.zeros(cfg.z1_dim)
         zero2 = np.zeros(cfg.z2_dim)
         rewards = np.zeros(episodes)
         costs = np.zeros(episodes)
-        for ep in range(episodes):
-            seed = self.eval_seeds[ep % len(self.eval_seeds)]
+        for ep, seed in enumerate(seeds):
             obs = self.eval_env.reset(seed=seed)
             z = self.model.filter_init(obs, zero1, zero2)
             done = False
@@ -507,10 +510,9 @@ class Trainer:
             "state_version": self.CHECKPOINT_STATE_VERSION,
             "config": self.cfg.to_dict(),
             "lagrange_lam": self.lagrange.lam,
-            "has_filter": self.z1 is not None,
             "opt_steps": {name: opt.step_count for name, opt in self._optimizers().items()},
-            "rngs": {name: _rng_state_to_meta(rng) for name, rng in self.rngs.items()},
-            "env_state": self.env.get_state(),
+            "rngs": {name: rng.bit_generator.state for name, rng in self.rngs.items()},
+            "env_state": self.env.env.get_state(),
             "buffer_meta": buffer_meta,
         })
         save_checkpoint(path, meta, arrays)
@@ -525,7 +527,7 @@ class Trainer:
             raise CheckpointError(f"unsupported trainer state version {meta.get('state_version')}")
         cfg = TrainConfig.from_dict(meta["config"])
         trainer = cls(cfg, out_dir)
-        if meta["has_filter"]:
+        if meta["phase"] == "main":
             trainer.z1, trainer.z2 = np.empty(cfg.z1_size), np.empty(cfg.z2_size)
         table = trainer._arrays()
         # the empty ring's state() names the buffer's arrays
@@ -546,9 +548,9 @@ class Trainer:
         for name, opt in trainer._optimizers().items():
             opt.step_count = meta["opt_steps"][name]
         trainer.lagrange.lam = meta["lagrange_lam"]
-        for name in trainer.rngs:
-            trainer.rngs[name] = _rng_from_meta(meta["rngs"][name])
-        trainer.env.set_state(meta["env_state"])
+        for name, rng in trainer.rngs.items():
+            rng.bit_generator.state = meta["rngs"][name]
+        trainer.env.env.set_state(meta["env_state"])
         for name in _STATE_FIELDS:
             setattr(trainer, name, meta[name])
         return trainer

@@ -5,10 +5,10 @@ import pytest
 
 from costbound import verify
 from costbound.autodiff import Tensor
-from costbound.checkpoint import load_checkpoint, save_checkpoint
+from costbound.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from costbound.cli import main
 from costbound.config import save_config
-from costbound.trainer import METRICS_HEADER, load_metrics, normalized_metrics
+from costbound.trainer import METRICS_HEADER, Trainer, load_metrics, normalized_metrics
 
 from test_trainer import short_config
 
@@ -59,6 +59,26 @@ def test_evaluate_of_a_state_version_1_checkpoint_exits_two(trained, tmp_path, c
     save_checkpoint(tmp_path / "v1.ckpt", meta, arrays)
     assert main(["evaluate", "--checkpoint", str(tmp_path / "v1.ckpt")]) == 2
     assert_one_error_line(capsys, "unsupported trainer state version 1")
+
+
+def test_a_state_version_2_checkpoint_is_refused(trained, tmp_path, capsys):
+    # the version-2 header as it was written: the facts that version 3
+    # derives, the ActionRepeat wrapper around the env state and the
+    # generator integers as strings
+    _, root = trained
+    meta, arrays = load_checkpoint(root / "run" / "final.ckpt")
+    stringify = lambda rng: {**rng, "state": {k: str(v) for k, v in rng["state"].items()}}
+    meta.update(
+        state_version=2, warmup_collected=30, ep_reward=0.0, has_filter=True,
+        env_state={"base_steps_taken": meta["env_step"], "env": meta["env_state"]},
+        rngs={name: stringify(rng) for name, rng in meta["rngs"].items()},
+    )
+    meta["buffer_meta"].update(obs_dtype="uint8", rng=stringify(meta["buffer_meta"]["rng"]))
+    save_checkpoint(tmp_path / "v2.ckpt", meta, arrays)
+    with pytest.raises(CheckpointError, match="unsupported trainer state version 2"):
+        Trainer.restore(tmp_path / "v2.ckpt", tmp_path / "out")
+    assert main(["evaluate", "--checkpoint", str(tmp_path / "v2.ckpt")]) == 2
+    assert_one_error_line(capsys, "unsupported trainer state version 2")
 
 
 def write_metrics(path, reward, cost, steps=(100, 200)):

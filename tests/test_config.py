@@ -67,6 +67,11 @@ def test_a_key_that_selects_nothing_is_rejected(tmp_path, line):
         load_config(desk_with(tmp_path, line))
 
 
+def test_auto_is_not_a_spelling_of_none(tmp_path):
+    with pytest.raises(ValueError, match="'auto'"):
+        load_config(desk_with(tmp_path, "target_entropy = auto", drop="target_entropy"))
+
+
 @pytest.mark.parametrize("name", ["model_lr", "arena_size", "cost_budget", "target_entropy"])
 def test_nan_is_rejected(tmp_path, name):
     with pytest.raises(ValueError, match=name):

@@ -1,4 +1,5 @@
 import bisect
+import json
 from types import SimpleNamespace
 
 import numpy as np
@@ -137,7 +138,7 @@ def test_state_round_trip():
     env = make_env()
     env.reset(seed=13)
     env.step(np.array([0.3, -0.2]))
-    state = env.get_state()
+    state = json.loads(json.dumps(env.get_state()))
     a = env.step(np.array([0.1, 0.9]))
     env.set_state(state)
     b = env.step(np.array([0.1, 0.9]))
@@ -183,7 +184,7 @@ def test_action_repeat_sums_rewards_and_costs():
     r = wrapped.step(np.zeros(1))
     assert np.isclose(r.reward, 0.3)
     assert r.cost == 2.0
-    assert wrapped.base_steps_taken == 2
+    assert env.i == 2
 
 
 def test_action_repeat_stops_early_at_done():
@@ -193,7 +194,7 @@ def test_action_repeat_stops_early_at_done():
     r = wrapped.step(np.zeros(1))
     assert r.done
     assert np.isclose(r.reward, 7.0)
-    assert wrapped.base_steps_taken == 3
+    assert env.i == 3
 
 
 def test_wrapper_preserves_episode_cost_accounting():

@@ -1,10 +1,12 @@
+import json
+import struct
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import costbound as cb
-from costbound.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
+from costbound.checkpoint import MAGIC, CheckpointError, load_checkpoint, save_checkpoint
 from costbound.latent import NonFiniteLossError
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -27,9 +29,9 @@ def test_resume_from_any_checkpoint_reproduces_the_run(tmp_path):
     metrics = trainer.metrics_path.read_text()
     # mid warmup collection; the last warmup-collection step (the next call
     # enters warmup_model, then main); main phase, mid-episode, after eviction
-    for step, phase, collected in (("20", "warmup_collect", 10), ("60", "warmup_collect", 30), ("120", "main", 30)):
-        restored = cb.Trainer.restore(tmp_path / "full" / f"step_{step}.ckpt", tmp_path / step)
-        assert (restored.phase, restored.warmup_collected) == (phase, collected)
+    for step, phase in ((20, "warmup_collect"), (60, "warmup_collect"), (120, "main")):
+        restored = cb.Trainer.restore(tmp_path / "full" / f"step_{step}.ckpt", tmp_path / str(step))
+        assert (restored.phase, restored.env_step) == (phase, step)
         if phase == "main":
             assert len(restored.buffer) < restored.env_step // 2  # one record per decision
             assert restored.env.env.get_state()["steps"] % 40 != 0
@@ -56,6 +58,35 @@ def test_non_finite_critic_leaves_the_diagnostic_checkpoint_as_before_the_step(t
 def main_phase_checkpoint(tmp_path_factory):
     """The final checkpoint of a run that ends in the main phase, with the filter live."""
     return cb.Trainer(short_config(total_env_steps=70, checkpoint_interval=0), tmp_path_factory.mktemp("run")).run()
+
+
+def test_the_header_is_plain_json_with_each_fact_once(main_phase_checkpoint):
+    data = main_phase_checkpoint.read_bytes()
+    (header_len,) = struct.unpack_from("<Q", data, len(MAGIC) + 4)
+    header = json.loads(data[len(MAGIC) + 12 : len(MAGIC) + 12 + header_len])
+    meta, _ = load_checkpoint(main_phase_checkpoint)
+    assert header["meta"] == meta
+    assert sorted(meta) == sorted([
+        "phase", "env_step", "warmup_model_done", "grad_accum", "ep_cost", "eval_next", "ckpt_next",
+        "metrics_rows", "loss_sums", "loss_counts", "state_version", "config", "lagrange_lam",
+        "opt_steps", "rngs", "env_state", "buffer_meta",
+    ])
+
+
+def test_evaluate_gives_each_episode_its_own_seed(main_phase_checkpoint, tmp_path):
+    restored = cb.Trainer.restore(main_phase_checkpoint, tmp_path)
+    seeds = []
+    reset = restored.eval_env.reset
+
+    def recording_reset(seed=None):
+        seeds.append(seed)
+        return reset(seed=seed)
+
+    restored.eval_env.reset = recording_reset
+    restored.evaluate()
+    (first,) = seeds
+    restored.evaluate(episodes=5)
+    assert len(set(seeds[1:])) == 5 and seeds[1] == first
 
 
 def test_restore_fills_the_constructed_trainer_and_saves_the_same_bytes(main_phase_checkpoint, tmp_path):
