@@ -8,6 +8,10 @@ into the ``Tensor.grad`` of its leaves, so backward calls over separate
 graphs sum there until grads are cleared. A graph is released by its own
 backward: each node drops its gradient, its vjp and the arrays that vjp
 saved as soon as the vjp has run, so a graph can be walked only once.
+What a vjp saves is kept small: the convolutions save no window rows and
+gather them again from their input, whose array the tape holds anyway as
+the node's parent, trading a cheap recompute for the largest arrays of a
+full-scale forward.
 
 All storage is float64. Recording can be suspended with ``no_grad()``
 for forward-only evaluation (target networks, data collection, rollouts).
@@ -214,16 +218,14 @@ def backward(root: Tensor):
 
     The walk releases the graph it consumes: once a node's vjp has run, the
     node drops its ``.grad``, its vjp closure (with the arrays that closure
-    saved, such as convolution window rows and relu masks) and its parents,
-    and keeps its ``.data``. Nodes that received no gradient are released
-    too. A later backward that reaches a released node, from the same root
-    or from a new graph built on one of its nodes, raises ``RuntimeError``
-    before it changes any gradient; run the forward again instead. Around
-    one full.cfg model update (tracemalloc, one BLAS thread) this took
-    backward's own peak from +1,066 MB to +66 MB over a forward tape of
-    1,222 MB, which backward now frees as it goes (1,151 MB, where 978 MB of
-    intermediate gradients stayed live before), and the process peak RSS
-    of a gradient step from 2,705 to 1,686 MB.
+    saved, such as relu masks) and its parents, and keeps its ``.data``.
+    Nodes that received no gradient are released too. A later backward that
+    reaches a released node, from the same root or from a new graph built
+    on one of its nodes, raises ``RuntimeError`` before it changes any
+    gradient; run the forward again instead. Around one full.cfg model
+    update (tracemalloc, one BLAS thread) the forward tape holds 686 MiB,
+    and backward, which frees it as it goes, peaks 179 MiB above it while
+    the convolution vjps gather their window rows again.
     """
     if root.data.size != 1:
         raise ValueError(f"backward requires a scalar root, got shape {root.data.shape}")
@@ -434,6 +436,13 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
 # bits too: a sum that starts from +0.0 is never -0.0, so adding +0.0 leaves
 # it as it is. The kernels hand out channels-first memory only, because numpy
 # reductions downstream (bias gradients, losses) sum in memory order.
+#
+# A weight gradient is one GEMM over all window rows, which _windows fills
+# with the same per-block loop (_window_rows) that _gather runs. No forward
+# keeps its rows for it: at full scale conv2's rows alone are ~208 MB, and
+# gathering them again in the vjp costs a few np.take passes. Each vjp builds
+# the rows, computes the weight gradient and drops them before it computes
+# the input gradient, so the rows and that gradient are never live together.
 
 _BLOCK_BYTES = 1 << 20
 
@@ -492,29 +501,46 @@ def _tap_table(c: int, h: int, wdt: int, grid, kh: int, kw: int, stride: int, pa
     return _frozen(np.where(table < 0, width - 1, table + channel).reshape(len(table), -1))
 
 
-def _gather(x: np.ndarray, w_cols: np.ndarray, grid, kh: int, kw: int, stride: int, pad: int, keep: bool):
-    """Every kh x kw window of ``x`` [N,C,H,W], zero-padded by ``pad``, at
-    ``grid`` positions ``stride`` apart, times ``w_cols`` [C*kh*kw, O].
-
-    Returns the product [N,O,*grid] and, if ``keep``, the window rows
-    [N*gh*gw, C*kh*kw] (else None).
-    """
+def _window_rows(x: np.ndarray, grid, kh: int, kw: int, stride: int, pad: int, cols=None):
+    """Yield (f0, f1, rows) over near-equal blocks of frames of ``x``
+    [N,C,H,W]: ``rows`` [(f1-f0)*gh*gw, C*kh*kw] holds every kh x kw window
+    of frames f0:f1, zero-padded by ``pad``, at ``grid`` positions
+    ``stride`` apart. With ``cols`` [N*gh*gw, C*kh*kw] given, each ``rows``
+    is its slice for the block; otherwise a fresh array."""
     n, c, h, wdt = x.shape
     gh, gw = grid
     per = gh * gw
     hp, wp = h + 2 * pad, wdt + 2 * pad
     windows = _window_table(c, hp, wp, grid, kh, kw, stride)
-    out = np.empty((n, w_cols.shape[1], gh, gw))
-    cols = np.empty((n * per, c * kh * kw)) if keep else None
     for f0, f1 in _blocks(n, per * c * kh * kw * 8):
         m = f1 - f0
         buf = np.zeros((m, c, hp, wp))
         buf[:, :, pad : pad + h, pad : pad + wdt] = x[f0:f1]
-        rows = cols[f0 * per : f1 * per] if keep else np.empty((m * per, c * kh * kw))
+        rows = np.empty((m * per, c * kh * kw)) if cols is None else cols[f0 * per : f1 * per]
         # mode="clip" lets numpy write into rows directly; "raise" would buffer it
         np.take(buf.reshape(m, -1), windows, axis=1, out=rows.reshape(m, -1), mode="clip")
-        out[f0:f1] = (rows @ w_cols).reshape(m, gh, gw, -1).transpose(0, 3, 1, 2)
-    return out, cols
+        yield f0, f1, rows
+
+
+def _windows(x: np.ndarray, grid, kh: int, kw: int, stride: int, pad: int) -> np.ndarray:
+    """Every window row of ``x`` at once, [N*gh*gw, C*kh*kw], for a weight
+    gradient's one GEMM over all rows."""
+    n, c = x.shape[:2]
+    cols = np.empty((n * grid[0] * grid[1], c * kh * kw))
+    for _ in _window_rows(x, grid, kh, kw, stride, pad, cols):
+        pass
+    return cols
+
+
+def _gather(x: np.ndarray, w_cols: np.ndarray, grid, kh: int, kw: int, stride: int, pad: int) -> np.ndarray:
+    """Every kh x kw window of ``x`` [N,C,H,W], zero-padded by ``pad``, at
+    ``grid`` positions ``stride`` apart, times ``w_cols`` [C*kh*kw, O]:
+    the product [N,O,*grid]."""
+    gh, gw = grid
+    out = np.empty((x.shape[0], w_cols.shape[1], gh, gw))
+    for f0, f1, rows in _window_rows(x, grid, kh, kw, stride, pad):
+        out[f0:f1] = (rows @ w_cols).reshape(f1 - f0, gh, gw, -1).transpose(0, 3, 1, 2)
+    return out
 
 
 def _scatter(y: np.ndarray, w: np.ndarray, out_shape, kh: int, kw: int, stride: int, pad: int):
@@ -551,15 +577,17 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, pad: int = 0) -> Te
         raise ValueError(f"conv2d channel mismatch: input {c}, kernel {c2}")
     grid = ((h + 2 * pad - kh) // stride + 1, (wdt + 2 * pad - kw) // stride + 1)
     w_flat = w.data.reshape(o, -1)
-    # the window rows are kept only for a weight gradient the tape will ask for
-    out_data, cols = _gather(x.data, w_flat.T, grid, kh, kw, stride, pad, _grad_enabled and w.requires_grad)
+    out_data = _gather(x.data, w_flat.T, grid, kh, kw, stride, pad)
     out_data += b.data[:, None, None]
 
     def vjp(g):
-        gx = _scatter(g, w_flat, x.data.shape, kh, kw, stride, pad) if x.requires_grad else None
         gw = None
         if w.requires_grad:
+            # the window rows are gathered again from x, not kept on the tape
+            cols = _windows(x.data, grid, kh, kw, stride, pad)
             gw = (g.transpose(0, 2, 3, 1).reshape(-1, o).T @ cols).reshape(w.data.shape)
+            del cols
+        gx = _scatter(g, w_flat, x.data.shape, kh, kw, stride, pad) if x.requires_grad else None
         gb = g.sum(axis=(0, 2, 3)) if b.requires_grad else None
         return gx, gw, gb
 
@@ -591,11 +619,13 @@ def conv2d_transpose(
 
     def vjp(g):
         # out_extra only ever adds trailing rows and columns that no window of x reaches
-        gx, g_win = _gather(g, w_flat.T, (h, wdt), kh, kw, stride, pad, w.requires_grad)
         gw = None
         if w.requires_grad:
+            g_win = _windows(g, (h, wdt), kh, kw, stride, pad)
             x_flat = x.data.transpose(0, 2, 3, 1).reshape(-1, cin)
             gw = (x_flat.T @ g_win).reshape(w.data.shape)
+            del g_win
+        gx = _gather(g, w_flat.T, (h, wdt), kh, kw, stride, pad) if x.requires_grad else None
         gb = g.sum(axis=(0, 2, 3)) if b.requires_grad else None
         return gx, gw, gb
 

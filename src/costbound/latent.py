@@ -34,7 +34,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .distributions import DiagGaussian, bernoulli_log_prob, gaussian_log_prob, kl_diag_gaussians
+from .distributions import DiagGaussian, bernoulli_log_prob, fixed_std_gaussian_log_prob, kl_diag_gaussians
 from .nn import MLP, ConvDecoder, ConvEncoder, GaussianHead
 
 
@@ -182,8 +182,7 @@ class LatentModel:
         flat_dim = int(np.prod(self.cfg.obs_shape))
         dec_flat = dec_mean.reshape(steps * b, flat_dim)
         target = np.ascontiguousarray(obs.transpose(1, 0, *range(2, obs.ndim))).reshape(steps * b, flat_dim)
-        recon_dist = DiagGaussian(dec_flat, Tensor(np.full((steps * b, flat_dim), self._log_recon_std)))
-        recon_nll = -gaussian_log_prob(recon_dist, target).sum() / b
+        recon_nll = -fixed_std_gaussian_log_prob(dec_flat, self._log_recon_std, target).sum() / b
 
         # reward and cost terms over the L transitions
         if l > 0:
@@ -196,9 +195,7 @@ class LatentModel:
             )
             r_target = batch.rewards.T.reshape(l * b, 1)
             r_mean = self.reward_head(pairs)
-            reward_nll = -gaussian_log_prob(
-                DiagGaussian(r_mean, Tensor(np.zeros((l * b, 1)))), r_target
-            ).sum() / b
+            reward_nll = -fixed_std_gaussian_log_prob(r_mean, 0.0, r_target).sum() / b
             c_logit = self.cost_head(pairs)
             violation = (batch.costs.T.reshape(l * b, 1) > 0.0).astype(np.float64)
             cost_nll = -bernoulli_log_prob(c_logit, violation).sum() / b

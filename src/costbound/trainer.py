@@ -316,6 +316,7 @@ class Trainer:
         except NonFiniteLossError:
             self._diagnostic_abort()
             raise
+        del batch  # backward reads none of these frames; free them before its peak
         self._apply(self.opt_model, loss)
         value = loss.item()
         self.loss_sums["model"] += value
@@ -336,6 +337,7 @@ class Trainer:
         a_tau = batch.actions[:, length - 1]
         r_tau = batch.rewards[:, length - 1]
         c_tau = batch.costs[:, length - 1]
+        del batch, inf  # the frames are not held through the model update
         alpha = self.temperature.alpha
         lam = self.lagrange.lam
         draw = lambda: self.rngs["ac"].standard_normal((cfg.ac_batch, self.action_dim))

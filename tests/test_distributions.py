@@ -11,6 +11,7 @@ from costbound.autodiff import Tensor
 from costbound.distributions import (
     DiagGaussian,
     bernoulli_log_prob,
+    fixed_std_gaussian_log_prob,
     gaussian_log_prob,
     kl_diag_gaussians,
     squashed_gaussian_log_prob,
@@ -138,6 +139,47 @@ def test_log_prob_batched_rows():
     out = gaussian_log_prob(d, np.zeros((4, 3)))
     assert out.shape == (4,)
     assert np.allclose(out.data, 3 * -0.9189385332046727)
+
+
+def _bitwise_equal(got, want):
+    return np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
+
+
+@pytest.mark.parametrize("log_std", [math.log(0.4), 0.0], ids=["log 0.4", "0"])
+@pytest.mark.parametrize("shape", [(24, 300), (40, 1)])
+def test_fixed_std_log_prob_matches_the_composite_bitwise(log_std, shape):
+    rng = np.random.default_rng(15)
+    mean_val, x = rng.normal(size=shape), rng.normal(size=shape)
+    flat_m, flat_x = mean_val.reshape(-1), x.reshape(-1)
+    # zero residuals of both signs: -0.0 - 0.0, 0.0 - -0.0 and x == mean
+    flat_x[0::5], flat_m[0::5] = -0.0, 0.0
+    flat_x[1::5], flat_m[1::5] = 0.0, -0.0
+    flat_x[2::5] = flat_m[2::5]
+    g = rng.normal(size=shape[0])
+    g[:3] = [0.0, -0.0, -1.0]
+
+    def value_and_grad(log_prob):
+        mean = Tensor(mean_val, requires_grad=True)
+        out = log_prob(mean)
+        ad.backward((out * Tensor(g)).sum())
+        return out.data, mean.grad
+
+    want = value_and_grad(lambda m: gaussian_log_prob(DiagGaussian(m, Tensor(np.full(shape, log_std))), x))
+    got = value_and_grad(lambda m: fixed_std_gaussian_log_prob(m, log_std, x))
+    assert _bitwise_equal(got[0], want[0]) and _bitwise_equal(got[1], want[1])
+    zeros = got[1][got[1] == 0.0]
+    assert np.signbit(zeros).any() and not np.signbit(zeros).all()  # both signed zeros reached it
+
+
+def test_fixed_std_log_prob_is_one_node_keeping_the_residual():
+    mean = Tensor(np.zeros((4, 3)), requires_grad=True)
+    out = fixed_std_gaussian_log_prob(mean, math.log(0.4), np.ones((4, 3)))
+    assert out._parents == (mean,)
+    saved = [c.cell_contents for c in out._vjp.__closure__ if isinstance(c.cell_contents, np.ndarray)]
+    assert [a.shape for a in saved] == [(4, 3)]
+    assert np.allclose(saved[0], 2.5)
+    with pytest.raises(ValueError):
+        fixed_std_gaussian_log_prob(mean, 0.0, np.ones((4, 2)))
 
 
 # -- Bernoulli from logits --------------------------------------------------------
