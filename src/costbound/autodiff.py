@@ -11,7 +11,10 @@ saved as soon as the vjp has run, so a graph can be walked only once.
 What a vjp saves is kept small: the convolutions save no window rows and
 gather them again from their input, whose array the tape holds anyway as
 the node's parent, trading a cheap recompute for the largest arrays of a
-full-scale forward.
+full-scale forward. A ReLU is part of the op that feeds it (``relu=True``
+on ``linear``, ``conv2d`` and ``conv2d_transpose``): the op keeps only its
+post-activation output, and its vjp rebuilds the mask from that output, so
+the tape holds no pre-activation and no mask.
 
 All storage is float64. Recording can be suspended with ``no_grad()``
 for forward-only evaluation (target networks, data collection, rollouts).
@@ -216,16 +219,24 @@ def backward(root: Tensor):
     as parameters) keep what they receive, so backward calls over separate
     graphs sum into them until their ``.grad`` is cleared.
 
+    Each vjp receives an upstream gradient that it owns and may overwrite,
+    as the fused ReLU ops do when they mask it in place: ``_accumulate``
+    copies every view and never hands one array to two tensors, and the
+    walk releases each node right after its vjp, so no other tensor's
+    ``.grad`` shares that array.
+
     The walk releases the graph it consumes: once a node's vjp has run, the
     node drops its ``.grad``, its vjp closure (with the arrays that closure
-    saved, such as relu masks) and its parents, and keeps its ``.data``.
+    saved, such as clamp masks) and its parents, and keeps its ``.data``.
     Nodes that received no gradient are released too. A later backward that
     reaches a released node, from the same root or from a new graph built
     on one of its nodes, raises ``RuntimeError`` before it changes any
     gradient; run the forward again instead. Around one full.cfg model
-    update (tracemalloc, one BLAS thread) the forward tape holds 686 MiB,
-    and backward, which frees it as it goes, peaks 179 MiB above it while
-    the convolution vjps gather their window rows again.
+    update (tracemalloc, one BLAS thread, MiB above the forward's start)
+    the forward tape holds 382 MiB of node outputs, backward starts from
+    349 MiB once the trainer has dropped the sampled frames, and, freeing
+    the tape as it goes, peaks at 613 MiB while the convolution vjps gather
+    their window rows again.
     """
     if root.data.size != 1:
         raise ValueError(f"backward requires a scalar root, got shape {root.data.shape}")
@@ -322,9 +333,11 @@ def tanh(a: Tensor) -> Tensor:
     return _node(out_data, (a,), lambda g: (g * (1.0 - out_data * out_data),))
 
 
-def relu(a: Tensor) -> Tensor:
-    mask = a.data > 0.0
-    return _node(a.data * mask, (a,), lambda g: (g * mask,))
+def _relu_(x: np.ndarray):
+    """ReLU in place, as ``x * (x > 0)``: -0.0 and negatives become -0.0,
+    +0.0 stays, NaN and -inf become NaN. The output is positive exactly
+    where the input was, so a vjp rebuilds the input's mask from it."""
+    np.multiply(x, x > 0.0, out=x)
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
@@ -377,14 +390,18 @@ def reshape(a: Tensor, shape) -> Tensor:
 
 
 def concat(tensors, axis: int = 0) -> Tensor:
-    tensors = list(tensors)
-    sizes = [t.data.shape[axis] for t in tensors]
-    splits = np.cumsum(sizes)[:-1]
+    tensors = tuple(tensors)
 
     def vjp(g):
-        return tuple(np.split(g, splits, axis=axis))
+        index, stop = [slice(None)] * g.ndim, 0
+        views = []
+        for t in tensors:
+            start, stop = stop, stop + t.data.shape[axis]
+            index[axis] = slice(start, stop)
+            views.append(g[tuple(index)])
+        return tuple(views)
 
-    return _node(np.concatenate([t.data for t in tensors], axis=axis), tuple(tensors), vjp)
+    return _node(np.concatenate([t.data for t in tensors], axis=axis), tensors, vjp)
 
 
 def getitem(a: Tensor, index) -> Tensor:
@@ -401,15 +418,20 @@ def getitem(a: Tensor, index) -> Tensor:
 # -- linear algebra -----------------------------------------------------------
 
 
-def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
-    """Fused affine map x @ w + b for 2-D x [N, in] and w [in, out]."""
+def linear(x: Tensor, w: Tensor, b: Tensor | None = None, relu: bool = False) -> Tensor:
+    """Fused affine map x @ w + b for 2-D x [N, in] and w [in, out],
+    followed by ReLU when ``relu``."""
     if x.data.ndim != 2 or w.data.ndim != 2:
         raise ValueError("linear expects 2-D input and weight")
     out_data = x.data @ w.data
     if b is not None:
-        out_data = out_data + b.data
+        out_data += b.data
+    if relu:
+        _relu_(out_data)
 
     def vjp(g):
+        if relu:
+            g *= out_data > 0.0
         gx = g @ w.data.T if x.requires_grad else None
         gw = x.data.T @ g if w.requires_grad else None
         return gx, gw, g.sum(axis=0) if b is not None and b.requires_grad else None
@@ -443,6 +465,10 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
 # gathering them again in the vjp costs a few np.take passes. Each vjp builds
 # the rows, computes the weight gradient and drops them before it computes
 # the input gradient, so the rows and that gradient are never live together.
+#
+# The forward kernels add the bias and apply a fused ReLU to each block of
+# frames as soon as it is computed, while it is in cache; both are
+# elementwise, so the bits are those of one pass over the whole output.
 
 _BLOCK_BYTES = 1 << 20
 
@@ -532,22 +558,36 @@ def _windows(x: np.ndarray, grid, kh: int, kw: int, stride: int, pad: int) -> np
     return cols
 
 
-def _gather(x: np.ndarray, w_cols: np.ndarray, grid, kh: int, kw: int, stride: int, pad: int) -> np.ndarray:
+def _finish(block: np.ndarray, b, relu: bool):
+    """Add the bias ``b`` [C] (if any) to a block of frames [m,C,H,W] and
+    apply ReLU (if ``relu``), in place, while the block is in cache."""
+    if b is not None:
+        block += b[:, None, None]
+    if relu:
+        _relu_(block)
+
+
+def _gather(
+    x: np.ndarray, w_cols: np.ndarray, grid, kh: int, kw: int, stride: int, pad: int, b=None, relu: bool = False
+) -> np.ndarray:
     """Every kh x kw window of ``x`` [N,C,H,W], zero-padded by ``pad``, at
     ``grid`` positions ``stride`` apart, times ``w_cols`` [C*kh*kw, O]:
-    the product [N,O,*grid]."""
+    the product [N,O,*grid], plus ``b`` [O] and through ReLU if given."""
     gh, gw = grid
     out = np.empty((x.shape[0], w_cols.shape[1], gh, gw))
     for f0, f1, rows in _window_rows(x, grid, kh, kw, stride, pad):
         out[f0:f1] = (rows @ w_cols).reshape(f1 - f0, gh, gw, -1).transpose(0, 3, 1, 2)
+        _finish(out[f0:f1], b, relu)
     return out
 
 
-def _scatter(y: np.ndarray, w: np.ndarray, out_shape, kh: int, kw: int, stride: int, pad: int):
+def _scatter(
+    y: np.ndarray, w: np.ndarray, out_shape, kh: int, kw: int, stride: int, pad: int, b=None, relu: bool = False
+) -> np.ndarray:
     """Scatter-add, at every position of ``y`` [N,R,gh,gw], its R channels
     times ``w`` [R, C*kh*kw] over the kh x kw window at that position of an
     output ``out_shape`` [N,C,H,W] zero-padded by ``pad``; the adjoint of
-    _gather's windowing."""
+    _gather's windowing. Adds ``b`` [C] and applies ReLU if given."""
     n, c, h, wdt = out_shape
     _, r, gh, gw = y.shape
     k = w.shape[1]
@@ -566,21 +606,24 @@ def _scatter(y: np.ndarray, w: np.ndarray, out_shape, kh: int, kw: int, stride: 
         for row in taps:
             np.take(prod, row, axis=1, out=term, mode="clip")
             acc += term
+        _finish(out[f0:f1], b, relu)
     return out
 
 
-def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, pad: int = 0) -> Tensor:
-    """2-D cross-correlation. x: [N,C,H,W], w: [O,C,kh,kw], b: [O]."""
+def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, pad: int = 0, relu: bool = False) -> Tensor:
+    """2-D cross-correlation. x: [N,C,H,W], w: [O,C,kh,kw], b: [O].
+    Followed by ReLU when ``relu``."""
     _, c, h, wdt = x.data.shape
     o, c2, kh, kw = w.data.shape
     if c != c2:
         raise ValueError(f"conv2d channel mismatch: input {c}, kernel {c2}")
     grid = ((h + 2 * pad - kh) // stride + 1, (wdt + 2 * pad - kw) // stride + 1)
     w_flat = w.data.reshape(o, -1)
-    out_data = _gather(x.data, w_flat.T, grid, kh, kw, stride, pad)
-    out_data += b.data[:, None, None]
+    out_data = _gather(x.data, w_flat.T, grid, kh, kw, stride, pad, b.data, relu)
 
     def vjp(g):
+        if relu:
+            g *= out_data > 0.0
         gw = None
         if w.requires_grad:
             # the window rows are gathered again from x, not kept on the tape
@@ -601,11 +644,12 @@ def conv2d_transpose(
     stride: int = 1,
     pad: int = 0,
     out_extra: int = 0,
+    relu: bool = False,
 ) -> Tensor:
     """Transposed 2-D convolution (adjoint of conv2d w.r.t. its input).
 
     x: [N,Cin,H,W], w: [Cin,Cout,kh,kw]; output spatial size is
-    (H-1)*stride - 2*pad + kh + out_extra.
+    (H-1)*stride - 2*pad + kh + out_extra. Followed by ReLU when ``relu``.
     """
     n, cin, h, wdt = x.data.shape
     cin2, cout, kh, kw = w.data.shape
@@ -614,10 +658,11 @@ def conv2d_transpose(
     ho = (h - 1) * stride - 2 * pad + kh + out_extra
     wo = (wdt - 1) * stride - 2 * pad + kw + out_extra
     w_flat = w.data.reshape(cin, -1)
-    out_data = _scatter(x.data, w_flat, (n, cout, ho, wo), kh, kw, stride, pad)
-    out_data += b.data[:, None, None]
+    out_data = _scatter(x.data, w_flat, (n, cout, ho, wo), kh, kw, stride, pad, b.data, relu)
 
     def vjp(g):
+        if relu:
+            g *= out_data > 0.0
         # out_extra only ever adds trailing rows and columns that no window of x reaches
         gw = None
         if w.requires_grad:

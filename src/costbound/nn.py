@@ -25,16 +25,17 @@ class Linear:
         # nonzero bias init keeps ReLU pre-activations off the exact kink
         self.b = Tensor(rng.uniform(-bound, bound, size=out_dim), requires_grad=True)
 
-    def __call__(self, x: Tensor, frozen: bool = False) -> Tensor:
+    def __call__(self, x: Tensor, frozen: bool = False, relu: bool = False) -> Tensor:
         w, b = (self.w.detach(), self.b.detach()) if frozen else (self.w, self.b)
-        return ad.linear(x, w, b)
+        return ad.linear(x, w, b, relu=relu)
 
     def parameters(self):
         return [self.w, self.b]
 
 
 class MLP:
-    """Stack of Linear layers with ReLU between them, plain final layer."""
+    """Stack of Linear layers with ReLU between them, plain final layer.
+    Each hidden layer is one tape node that applies its own ReLU."""
 
     def __init__(self, in_dim: int, hidden: tuple, out_dim: int, rng: np.random.Generator):
         dims = [in_dim, *hidden, out_dim]
@@ -42,7 +43,7 @@ class MLP:
 
     def __call__(self, x: Tensor, frozen: bool = False) -> Tensor:
         for layer in self.layers[:-1]:
-            x = ad.relu(layer(x, frozen=frozen))
+            x = layer(x, frozen=frozen, relu=True)
         return self.layers[-1](x, frozen=frozen)
 
     def parameters(self):
@@ -69,8 +70,8 @@ class Conv2d:
         self.stride = stride
         self.pad = pad
 
-    def __call__(self, x: Tensor) -> Tensor:
-        return ad.conv2d(x, self.w, self.b, stride=self.stride, pad=self.pad)
+    def __call__(self, x: Tensor, relu: bool = False) -> Tensor:
+        return ad.conv2d(x, self.w, self.b, stride=self.stride, pad=self.pad, relu=relu)
 
     def parameters(self):
         return [self.w, self.b]
@@ -98,9 +99,9 @@ class ConvTranspose2d:
         self.pad = pad
         self.out_extra = out_extra
 
-    def __call__(self, x: Tensor) -> Tensor:
+    def __call__(self, x: Tensor, relu: bool = False) -> Tensor:
         return ad.conv2d_transpose(
-            x, self.w, self.b, stride=self.stride, pad=self.pad, out_extra=self.out_extra
+            x, self.w, self.b, stride=self.stride, pad=self.pad, out_extra=self.out_extra, relu=relu
         )
 
     def parameters(self):
@@ -126,7 +127,8 @@ class GaussianHead:
 
 
 class ConvEncoder:
-    """Two stride-2 convolutions, then a linear map to the feature vector."""
+    """Two stride-2 convolutions, each with its ReLU fused in, then a linear
+    map to the feature vector."""
 
     def __init__(self, obs_shape, channels, feature_dim: int, rng: np.random.Generator):
         c, h, w = obs_shape
@@ -140,8 +142,8 @@ class ConvEncoder:
 
     def __call__(self, x: Tensor) -> Tensor:
         n = x.shape[0]
-        h = ad.relu(self.conv1(x))
-        h = ad.relu(self.conv2(h))
+        h = self.conv1(x, relu=True)
+        h = self.conv2(h, relu=True)
         return self.out(h.reshape(n, self.flat_dim))
 
     def parameters(self):
@@ -149,7 +151,8 @@ class ConvEncoder:
 
 
 class ConvDecoder:
-    """Mirror of ConvEncoder: linear up, two stride-2 transposed convs."""
+    """Mirror of ConvEncoder: linear up and the first stride-2 transposed
+    conv, each with its ReLU fused in, then a plain stride-2 transposed conv."""
 
     def __init__(self, in_dim: int, obs_shape, channels, rng: np.random.Generator):
         c, h, w = obs_shape
@@ -163,8 +166,8 @@ class ConvDecoder:
 
     def __call__(self, z: Tensor) -> Tensor:
         n = z.shape[0]
-        h = ad.relu(self.up(z)).reshape(n, self.c2, self.h0, self.w0)
-        h = ad.relu(self.deconv1(h))
+        h = self.up(z, relu=True).reshape(n, self.c2, self.h0, self.w0)
+        h = self.deconv1(h, relu=True)
         return self.deconv2(h)
 
     def parameters(self):

@@ -82,9 +82,9 @@ def test_backward_frees_the_intermediate_arrays_it_consumed():
 def _conv_autoencoder_loss(frames, params):
     """A small conv encoder and decoder reconstructing ``frames``."""
     w1, b1, w2, b2, w3, b3, w4, b4 = params
-    h = ad.relu(ad.conv2d(frames, w1, b1, stride=2, pad=1))
-    h = ad.relu(ad.conv2d(h, w2, b2, stride=2, pad=1))
-    h = ad.relu(ad.conv2d_transpose(h, w3, b3, stride=2, pad=1, out_extra=1))
+    h = ad.conv2d(frames, w1, b1, stride=2, pad=1, relu=True)
+    h = ad.conv2d(h, w2, b2, stride=2, pad=1, relu=True)
+    h = ad.conv2d_transpose(h, w3, b3, stride=2, pad=1, out_extra=1, relu=True)
     err = ad.conv2d_transpose(h, w4, b4, stride=2, pad=1, out_extra=1) - frames
     return (err * err).sum()
 
@@ -114,8 +114,12 @@ def test_backward_peak_memory_stays_below_half_the_forward_tape():
     ad.backward(_conv_autoencoder_loss(frames, params))  # fills the index-table caches
     for p in params:
         p.grad = None
-    # the two conv2d vjps gather these rows again from their inputs
-    regathered = _window_row_bytes(16, 3, (16, 16)) + _window_row_bytes(16, 8, (8, 8))
+    # every conv vjp gathers window rows again (conv1 and conv2 of their
+    # inputs, the deconvs of their output gradients) and drops them before
+    # the next vjp runs; conv1's and deconv2's are the largest
+    rows = max(_window_row_bytes(16, 3, (16, 16)), _window_row_bytes(16, 8, (8, 8)))
+    # one output per layer (conv1, conv2, deconv1, deconv2), err, its square and the sum
+    layer_outputs = 8 * (16 * 8 * 16 * 16 + 16 * 16 * 8 * 8 + 16 * 8 * 16 * 16 + 3 * 16 * 3 * 32 * 32 + 1)
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
@@ -128,9 +132,12 @@ def test_backward_peak_memory_stays_below_half_the_forward_tape():
     finally:
         tracemalloc.stop()
     tape = before - start
-    # beyond the node outputs, the tape holds relu masks and bookkeeping, no window rows
-    assert tape - outputs < 0.1 * regathered
-    assert peak - before < 0.5 * (tape + regathered)
+    # no pre-activations: the ReLUs are fused into the layers that feed them
+    assert outputs == layer_outputs
+    # beyond the node outputs only bookkeeping, less than conv2's relu mask
+    # would be: no masks and no window rows
+    assert tape - outputs < 16 * 16 * 8 * 8
+    assert peak - before < 0.5 * tape + rows
     assert all(p.grad is not None for p in params)
 
 
@@ -216,6 +223,13 @@ _ALIASING_GRAPHS = {
     "add passes its upstream to a non-leaf": lambda x, y, b: (
         lambda h: ((h + y) * x + h * y).sum()
     )(ad.tanh(x)),
+    # the fused ReLU masks its upstream gradient in place
+    "fused relu feeding two ops": lambda x, y, b: (
+        lambda h: (h * ad.tanh(h) + ad.exp(h) * y).sum()
+    )(ad.linear(x, ad.concat([y, b.reshape(1, 4)], axis=0), b, relu=True)),
+    "add passes its upstream to a fused relu": lambda x, y, b: (
+        lambda h: ((h + y) * x).sum()
+    )(ad.linear(x, ad.concat([y, b.reshape(1, 4)], axis=0), b, relu=True)),
 }
 
 
@@ -580,6 +594,85 @@ def test_linear_input_without_grad_gets_no_gradient():
     w, b = Tensor(w_val, requires_grad=True), Tensor(b_val, requires_grad=True)
     gx, gw, gb = ad.linear(Tensor(x_val), w, b)._vjp(g)
     assert gx is None and np.array_equal(gw, x_val.T @ g) and np.array_equal(gb, g.sum(axis=0))
+
+
+# ops with their ReLU fused in: (op, x shape, w shape, keyword arguments)
+_FUSED_CASES = {
+    "linear": ("linear", (6, 4), (4, 5), {}),
+    "conv2d": ("conv2d", (2, 2, 4, 4), (4, 2, 3, 3), dict(stride=2, pad=1)),
+    "conv2d_transpose": ("conv2d_transpose", (2, 3, 2, 2), (3, 4, 3, 3), dict(stride=2, pad=1, out_extra=1)),
+}
+_OUT_AXIS = {"linear": 1, "conv2d": 0, "conv2d_transpose": 1}  # of w
+
+
+def _fused_operands(op, x_shape, w_shape, rng, special=False):
+    """x, w and b for ``op``. With ``special``, output channels 0, 1 and 2
+    get biases +inf, -inf and -0.0, one input of frame 1 is NaN, and frame
+    0 and channel 2's weights are tiny enough that their products
+    underflow to -0.0. The pre-activation is -0.0 where the sum of those
+    products stays -0.0: OpenBLAS keeps it for linear's GEMM, but returns
+    +0.0 for the convolutions' GEMM on a transposed weight operand, and
+    _scatter starts every sum from +0.0."""
+    x_val, w_val = rng.normal(size=x_shape), rng.normal(size=w_shape)
+    b_val = rng.normal(size=w_shape[_OUT_AXIS[op]])
+    if special:
+        b_val[:3] = [np.inf, -np.inf, -0.0]
+        x_val[0] = -1e-200 * np.abs(x_val[0])
+        x_val[1].flat[0] = np.nan
+        channel = np.moveaxis(w_val, _OUT_AXIS[op], 0)[2]
+        channel[...] = 1e-200 * np.abs(channel)
+    return x_val, w_val, b_val
+
+
+@pytest.mark.parametrize("case", sorted(_FUSED_CASES))
+def test_fused_relu_matches_the_unfused_arithmetic_bitwise(case):
+    op, x_shape, w_shape, kw = _FUSED_CASES[case]
+    rng = np.random.default_rng(sorted(_FUSED_CASES).index(case))
+    vals = _fused_operands(op, x_shape, w_shape, rng, special=True)
+    with np.errstate(invalid="ignore"):
+        pre = getattr(ad, op)(*(Tensor(v, requires_grad=True) for v in vals), **kw)
+        fused = getattr(ad, op)(*(Tensor(v, requires_grad=True) for v in vals), relu=True, **kw)
+        g = rng.normal(size=pre.shape)
+        mask = pre.data > 0
+        want = (pre.data * mask, *pre._vjp(g * mask))
+        got = (fused.data, *fused._vjp(g.copy()))
+    assert np.isnan(pre.data).any() and np.isposinf(pre.data).any() and np.isneginf(pre.data).any()
+    assert (pre.data == 0).any()
+    if op == "linear":
+        assert ((pre.data == 0) & np.signbit(pre.data)).any()
+    for a, b in zip(got, want):
+        _assert_bitwise_equal(a, b)
+
+
+def test_relu_in_place_equals_the_masked_product_and_keeps_its_mask():
+    pre = np.array([-0.0, 0.0, np.nan, np.inf, -np.inf, -1.5, 2.5, 5e-324, -5e-324])
+    out = pre.copy()
+    with np.errstate(invalid="ignore"):
+        ad._relu_(out)
+        want = pre * (pre > 0)
+    _assert_bitwise_equal(out, want)
+    assert np.signbit(out[0]) and np.isnan(out[4])  # relu(-0.0) = -0.0 and relu(-inf) = NaN
+    assert np.array_equal(out > 0, pre > 0)
+
+
+@pytest.mark.parametrize("case", sorted(_FUSED_CASES))
+def test_fused_relu_matches_finite_differences(case):
+    op, x_shape, w_shape, kw = _FUSED_CASES[case]
+    vals = _fused_operands(op, x_shape, w_shape, np.random.default_rng(20 + sorted(_FUSED_CASES).index(case)))
+    pre = getattr(ad, op)(*map(Tensor, vals), **kw).data
+    # both sides of the kink, and no pre-activation close enough to it for a
+    # central difference to straddle it
+    assert (pre < 0).any() and (pre > 0).any() and np.abs(pre).min() > 1e-3
+    tensors = [Tensor(v, requires_grad=True) for v in vals]
+    out = getattr(ad, op)(*tensors, relu=True, **kw)
+    ad.backward((out * out).sum())
+    for i, t in enumerate(tensors):
+
+        def f(v, i=i):
+            o = getattr(ad, op)(*(Tensor(v if j == i else vals[j]) for j in range(3)), relu=True, **kw)
+            return (o * o).sum().item()
+
+        assert grad_rel_error(t.grad, finite_diff_grad(f, vals[i])) <= 1e-4
 
 
 @pytest.mark.parametrize(
