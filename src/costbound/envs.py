@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .oracle import TabularCMDP
+from .oracle import TabularCMDP, choice_cdf
 
 
 @dataclass
@@ -240,8 +240,7 @@ class TabularChainEnv:
         self.obs_shape = (1, 1, 1)
         self.action_dim = 1  # actions are integers in [0, num_actions)
         self._rng = np.random.default_rng(config.seed)
-        cdf = np.cumsum(m.transitions, axis=2)
-        self._cdf = (cdf / cdf[..., -1:]).tolist()
+        self._cdf = choice_cdf(m.transitions).tolist()
         self._rewards = m.rewards.tolist()
         self._costs = m.costs.tolist()
         self._num_actions = m.num_actions

@@ -13,8 +13,8 @@ from costbound.envs import (
     StepResult,
     TabularChainEnv,
 )
-from costbound.oracle import TabularCMDP, mc_return, value_iteration
-from costbound.verify import hazard_corridor_cmdp
+from costbound.oracle import TabularCMDP, mc_policy_value, mc_return, value_iteration
+from costbound.verify import hazard_corridor_cmdp, hazard_corridor_policy
 
 
 def make_env(**kw):
@@ -249,20 +249,10 @@ def test_chain_env_deterministic_rollout_matches_tables():
 
 def test_chain_env_empirical_returns_match_oracle():
     m = two_state_chain(gamma_c=0.9)
-    env = TabularChainEnv(ChainEnvConfig(m, episode_limit=200, seed=0))
     policy_table = np.array([[0.7, 0.3], [0.5, 0.5]])
     q = value_iteration(m, policy_table, signal="cost")
     v0 = float(policy_table[0] @ q[0])
-
-    rng = np.random.default_rng(16)
-    cdf = np.cumsum(policy_table, axis=1)
-    cdf = (cdf / cdf[:, -1:]).tolist()  # as Generator.choice normalises it, so the draws equal choice(p=row)
-    top = m.num_states - 1
-
-    def policy(obs):
-        return bisect.bisect_right(cdf[round(obs.item() * top)], rng.random())
-
-    mean, se = mc_return(env, policy, episodes=4000, discount=0.9, signal="cost", seed=17)
+    (mean, se), _ = _scalar_mc_value(m, policy_table, 14, episodes=4000, horizon=200, signal="cost")
     assert abs(mean - v0) <= 3 * se + 1e-6
 
 
@@ -361,3 +351,49 @@ def test_chain_env_draw_equal_to_a_cdf_entry_moves_past_it():
             env.step(0)
             states.append(env._state)
         assert states == [1, 2, 1, 1]
+
+
+def _scalar_mc_value(m, policy, seed, episodes, horizon, signal):
+    """``mc_return`` over ``TabularChainEnv`` with one scalar ``bisect_right``
+    draw per action from ``default_rng(seed + 2)``, episodes seeded from
+    ``seed + 3``: the reference for ``mc_policy_value``. Returns the estimate
+    and the policy generator's final state."""
+    env = TabularChainEnv(ChainEnvConfig(m, episode_limit=horizon))
+    rng = np.random.default_rng(seed + 2)
+    cdf = np.cumsum(policy, axis=1)
+    cdf = (cdf / cdf[:, -1:]).tolist()  # as Generator.choice normalises it, so the draws equal choice(p=row)
+    top = m.num_states - 1
+
+    def act(obs):
+        return bisect.bisect_right(cdf[round(obs.item() * top)], rng.random())
+
+    discount = m.cost_gamma if signal == "cost" else m.gamma
+    estimate = mc_return(env, act, episodes=episodes, discount=discount, signal=signal, seed=seed + 3)
+    return estimate, rng.bit_generator.state
+
+
+def _ten_state_policy():
+    """10 states, 3 actions, with zero entries so that CDF rows hold ties."""
+    rng = np.random.default_rng(32)
+    table = rng.uniform(size=(10, 3)) * (rng.uniform(size=(10, 3)) < 0.6)
+    table[:, 2] += 1e-3
+    return table / table.sum(axis=1, keepdims=True)
+
+
+@pytest.mark.parametrize(
+    "m, policy, episodes, horizon, signal",
+    [
+        # the suite's entry, with episodes that leave a partial block
+        (hazard_corridor_cmdp(gamma_c=0.95), hazard_corridor_policy(), 130, 300, "cost"),
+        (random_ten_state_cmdp(), _ten_state_policy(), 150, 40, "cost"),
+        (random_ten_state_cmdp(), _ten_state_policy(), 150, 40, "reward"),
+    ],
+    ids=["corridor-cost", "ten-state-cost", "ten-state-reward"],
+)
+def test_batched_mc_value_matches_scalar_mc_return_bit_for_bit(m, policy, episodes, horizon, signal):
+    expected, expected_state = _scalar_mc_value(m, policy, 11, episodes, horizon, signal)
+    assert expected[1] > 0.0
+    rng = np.random.default_rng(11 + 2)
+    got = mc_policy_value(m, policy, rng, 11 + 3, episodes=episodes, horizon=horizon, signal=signal)
+    assert [x.hex() for x in got] == [x.hex() for x in expected]
+    assert rng.bit_generator.state == expected_state

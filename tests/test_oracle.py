@@ -1,10 +1,20 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from costbound import autodiff as ad
 from costbound.autodiff import Tensor
 from costbound.nn import MLP
-from costbound.oracle import TabularCMDP, finite_diff_grad, grad_rel_error, mc_return, value_iteration
+from costbound.oracle import (
+    TabularCMDP,
+    finite_diff_grad,
+    grad_rel_error,
+    mc_policy_value,
+    mc_return,
+    value_iteration,
+)
+from costbound.verify import hazard_corridor_cmdp, hazard_corridor_policy
 
 
 def test_fd_on_square():
@@ -160,3 +170,29 @@ def test_mc_return_cost_signal():
 def test_mc_return_requires_positive_episodes():
     with pytest.raises(ValueError):
         mc_return(_FixedEnv(), lambda obs: 0, episodes=0)
+
+
+def test_mc_policy_value_rejects_bad_arguments():
+    m = hazard_corridor_cmdp()
+    policy = hazard_corridor_policy()
+    for kwargs in ({"episodes": 0}, {"horizon": 0}, {"signal": "regret"}):
+        args = {"episodes": 2, "horizon": 3, "signal": "cost", **kwargs}
+        with pytest.raises(ValueError):
+            mc_policy_value(m, policy, np.random.default_rng(0), 0, **args)
+    with pytest.raises(ValueError):
+        mc_policy_value(m, policy[:, :1], np.random.default_rng(0), 0, episodes=2, horizon=3)
+
+
+def test_mc_policy_value_holds_one_block_of_draws_at_a_time():
+    # the oracle suite's call: 3,000 episodes of 300 steps, 7.2 MB per stream
+    # if every draw were held at once
+    m, policy = hazard_corridor_cmdp(gamma_c=0.95), hazard_corridor_policy()
+    # the first SeedSequence in a process imports `secrets`, about 1 MiB
+    mc_policy_value(m, policy, np.random.default_rng(2), 3, episodes=1, horizon=1)
+    tracemalloc.start()
+    try:
+        mc_policy_value(m, policy, np.random.default_rng(2), 3, episodes=3000, horizon=300)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20

@@ -1,10 +1,11 @@
+import json
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from costbound.autodiff import Tensor
-from costbound.verify import _TableActor, hazard_corridor_policy
+from costbound.verify import _TableActor, hazard_corridor_policy, run_tabular_suite
 
 
 def _per_row_sample(actor, z):
@@ -48,3 +49,9 @@ def test_table_actor_draw_equal_to_a_cdf_entry_moves_past_it():
     actor = _TableActor(np.array([[0.0, 0.5, 0.5]]), draws)
     actions, _ = actor.sample(Tensor(np.ones((3, 1))), None)
     assert np.array_equal(actions.data, np.eye(3)[[1, 2, 2]])
+
+
+def test_tabular_suite_result_is_plain_json():
+    results = run_tabular_suite(0)
+    assert all(type(ok) is bool for _, _, ok in results.values())
+    assert json.loads(json.dumps(results)) == {name: list(entry) for name, entry in results.items()}
