@@ -6,15 +6,18 @@ the vector-Jacobian product. ``backward`` on a scalar result walks the
 graph in reverse topological order and accumulates gradients additively
 into the ``Tensor.grad`` of its leaves, so backward calls over separate
 graphs sum there until grads are cleared. A graph is released by its own
-backward: each node drops its gradient, its vjp and the arrays that vjp
-saved as soon as the vjp has run, so a graph can be walked only once.
-What a vjp saves is kept small: the convolutions save no window rows and
-gather them again from their input, whose array the tape holds anyway as
-the node's parent, trading a cheap recompute for the largest arrays of a
-full-scale forward. A ReLU is part of the op that feeds it (``relu=True``
-on ``linear``, ``conv2d`` and ``conv2d_transpose``): the op keeps only its
-post-activation output, and its vjp rebuilds the mask from that output, so
-the tape holds no pre-activation and no mask.
+backward, so it can be walked only once: each node drops its gradient, its
+vjp and its parents just before the vjp runs, and the vjp is called with
+the only reference to the upstream gradient and, through its closure, to
+the arrays it saved. Each full-size array is therefore freed as soon as its
+last reader is done, inside the vjp if that comes first. What a vjp saves
+is kept small: the convolutions save no window rows and gather them again
+from their input, whose array the tape holds anyway as the node's parent,
+trading a cheap recompute for the largest arrays of a full-scale forward.
+A ReLU is part of the op that feeds it (``relu=True`` on ``linear``,
+``conv2d`` and ``conv2d_transpose``): the op keeps only its post-activation
+output, and its vjp rebuilds the mask from that output, so the tape holds
+no pre-activation and no mask.
 
 All storage is float64. Recording can be suspended with ``no_grad()``
 for forward-only evaluation (target networks, data collection, rollouts).
@@ -187,8 +190,8 @@ def _accumulate(t: Tensor, g: np.ndarray, earlier=()):
 
     A float64 array that owns its memory becomes ``t.grad`` as it is,
     memory order included. That covers the upstream gradient that ``add``
-    and ``sub`` pass through: ``backward`` releases the node that held it
-    right after its vjp, so nothing else can write through the alias.
+    and ``sub`` pass through: ``backward`` released the node that held it
+    before its vjp ran, so nothing else can write through the alias.
     Anything else is copied first, so a later ``+=`` cannot write into
     another tensor's gradient: a view of any array, and an array already
     handed to an ``earlier`` parent of the same vjp.
@@ -219,24 +222,27 @@ def backward(root: Tensor):
     as parameters) keep what they receive, so backward calls over separate
     graphs sum into them until their ``.grad`` is cleared.
 
-    Each vjp receives an upstream gradient that it owns and may overwrite,
-    as the fused ReLU ops do when they mask it in place: ``_accumulate``
-    copies every view and never hands one array to two tensors, and the
-    walk releases each node right after its vjp, so no other tensor's
-    ``.grad`` shares that array.
+    The walk releases the graph it consumes. Before a node's vjp runs, the
+    node drops its ``.grad``, its vjp closure and its parents, and keeps
+    its ``.data``; the walk then drops its own reference to the node and
+    calls the vjp with the popped gradient as that array's only reference.
+    So each vjp owns its upstream gradient: it may overwrite it, as the
+    fused ReLU ops do when they mask it in place (``_accumulate`` copies
+    every view and never hands one array to two tensors), and it frees it
+    with ``del`` once its last reader is done. It can free what its closure
+    saved the same way, as the convolutions drop their output (the node's
+    ``.data``) once they have masked the gradient with it, unless the caller
+    still holds the node; the closure itself goes when the vjp returns.
+    Nodes that received no gradient are released too. A later backward
+    that reaches a released node, from the same root or from a new graph
+    built on one of its nodes, raises ``RuntimeError`` before it changes
+    any gradient; run the forward again instead.
 
-    The walk releases the graph it consumes: once a node's vjp has run, the
-    node drops its ``.grad``, its vjp closure (with the arrays that closure
-    saved, such as clamp masks) and its parents, and keeps its ``.data``.
-    Nodes that received no gradient are released too. A later backward that
-    reaches a released node, from the same root or from a new graph built
-    on one of its nodes, raises ``RuntimeError`` before it changes any
-    gradient; run the forward again instead. Around one full.cfg model
-    update (tracemalloc, one BLAS thread, MiB above the forward's start)
-    the forward tape holds 382 MiB of node outputs, backward starts from
-    349 MiB once the trainer has dropped the sampled frames, and, freeing
-    the tape as it goes, peaks at 613 MiB while the convolution vjps gather
-    their window rows again.
+    Around one full.cfg model update (tracemalloc, seed 2, one BLAS thread,
+    MiB above the forward's start) the forward tape holds 349 MiB, the
+    sampled frames being its encoder input, not a copy of it; backward
+    starts from there and peaks at 482 MiB, inside deconv1's vjp while it
+    builds the 207 MB window rows of its upstream gradient.
     """
     if root.data.size != 1:
         raise ValueError(f"backward requires a scalar root, got shape {root.data.shape}")
@@ -263,15 +269,19 @@ def backward(root: Tensor):
     _accumulate(root, np.ones_like(root.data))
     while topo:
         node = topo.pop()
-        if node._vjp is None:
+        vjp, parents = node._vjp, node._parents
+        if vjp is None:
             continue
-        if node.grad is not None:
-            grads = node._vjp(node.grad)
-            for i, (parent, g) in enumerate(zip(node._parents, grads)):
+        upstream = [node.grad]
+        node.grad, node._vjp, node._parents = None, _released, ()
+        del node  # its output lives on only where the vjp saved it
+        if upstream[0] is not None:
+            # popped into the call: the vjp's argument is the only reference
+            grads = vjp(upstream.pop())
+            for i, (parent, g) in enumerate(zip(parents, grads)):
                 if g is not None and parent.requires_grad:
                     _accumulate(parent, g, grads[:i])
-            del grads, g  # not held through the next node's vjp
-        node.grad, node._vjp, node._parents = None, _released, ()
+            del grads, g, parent  # not held through the next node's vjp
 
 
 # -- elementwise arithmetic ---------------------------------------------------
@@ -460,11 +470,27 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None, relu: bool = False) ->
 # reductions downstream (bias gradients, losses) sum in memory order.
 #
 # A weight gradient is one GEMM over all window rows, which _windows fills
-# with the same per-block loop (_window_rows) that _gather runs. No forward
-# keeps its rows for it: at full scale conv2's rows alone are ~208 MB, and
-# gathering them again in the vjp costs a few np.take passes. Each vjp builds
-# the rows, computes the weight gradient and drops them before it computes
-# the input gradient, so the rows and that gradient are never live together.
+# with the same per-block loop (_window_rows) that the forward runs. No
+# forward keeps its rows for it: at full scale conv2's rows alone are
+# ~208 MB, and gathering them again in the vjp costs a few np.take passes.
+# Each vjp builds its rows once, and lets go of every full-size array as soon
+# as its last reader is done. It applies the fused ReLU's mask to the upstream
+# gradient g and drops the saved output, sums the bias gradient from g, builds
+# the rows that both remaining gradients read, and drops g:
+# - conv2d copies g into channels-last rows [N*gh*gw, O]. The weight
+#   gradient multiplies them by x's window rows, which are then dropped, and
+#   _scatter reads them, block by block, for the input gradient. So g's rows
+#   are live first with x's window rows, then with the input gradient.
+# - conv2d_transpose builds g's window rows. The weight gradient multiplies
+#   them by a channels-last copy of x, and _gather multiplies them by the
+#   weights for the input gradient, over the frame blocks that _window_rows
+#   walks, so its GEMMs are those of a gather from g. So g's window rows are
+#   live first with that copy of x, then with the input gradient.
+# A frozen weight needs no whole set of rows: conv2d hands _scatter g's
+# channels-last view, which it copies one block at a time, and
+# conv2d_transpose gathers g's window rows block by block for the input
+# gradient, the same blocks and GEMMs. Neither builds rows for a gradient
+# that no operand needs.
 #
 # The forward kernels add the bias and apply a fused ReLU to each block of
 # frames as soon as it is computed, while it is in cache; both are
@@ -558,6 +584,14 @@ def _windows(x: np.ndarray, grid, kh: int, kw: int, stride: int, pad: int) -> np
     return cols
 
 
+def _row_blocks(cols: np.ndarray, n: int):
+    """Yield (f0, f1, rows) over the blocks of frames that _window_rows walks
+    for ``cols``, the window rows of n frames; each ``rows`` is a slice."""
+    per = len(cols) // n
+    for f0, f1 in _blocks(n, cols.nbytes // n):
+        yield f0, f1, cols[f0 * per : f1 * per]
+
+
 def _finish(block: np.ndarray, b, relu: bool):
     """Add the bias ``b`` [C] (if any) to a block of frames [m,C,H,W] and
     apply ReLU (if ``relu``), in place, while the block is in cache."""
@@ -567,15 +601,14 @@ def _finish(block: np.ndarray, b, relu: bool):
         _relu_(block)
 
 
-def _gather(
-    x: np.ndarray, w_cols: np.ndarray, grid, kh: int, kw: int, stride: int, pad: int, b=None, relu: bool = False
-) -> np.ndarray:
-    """Every kh x kw window of ``x`` [N,C,H,W], zero-padded by ``pad``, at
-    ``grid`` positions ``stride`` apart, times ``w_cols`` [C*kh*kw, O]:
-    the product [N,O,*grid], plus ``b`` [O] and through ReLU if given."""
+def _gather(blocks, n: int, w_cols: np.ndarray, grid, b=None, relu: bool = False) -> np.ndarray:
+    """The window rows of n frames at ``grid`` positions, in ``blocks`` of
+    (f0, f1, rows) as _window_rows or _row_blocks yield them, times
+    ``w_cols`` [C*kh*kw, O]: the product [N,O,*grid], plus ``b`` [O] and
+    through ReLU if given."""
     gh, gw = grid
-    out = np.empty((x.shape[0], w_cols.shape[1], gh, gw))
-    for f0, f1, rows in _window_rows(x, grid, kh, kw, stride, pad):
+    out = np.empty((n, w_cols.shape[1], gh, gw))
+    for f0, f1, rows in blocks:
         out[f0:f1] = (rows @ w_cols).reshape(f1 - f0, gh, gw, -1).transpose(0, 3, 1, 2)
         _finish(out[f0:f1], b, relu)
     return out
@@ -584,18 +617,20 @@ def _gather(
 def _scatter(
     y: np.ndarray, w: np.ndarray, out_shape, kh: int, kw: int, stride: int, pad: int, b=None, relu: bool = False
 ) -> np.ndarray:
-    """Scatter-add, at every position of ``y`` [N,R,gh,gw], its R channels
-    times ``w`` [R, C*kh*kw] over the kh x kw window at that position of an
-    output ``out_shape`` [N,C,H,W] zero-padded by ``pad``; the adjoint of
-    _gather's windowing. Adds ``b`` [C] and applies ReLU if given."""
+    """Scatter-add, at every position of ``y`` [N,gh,gw,R] (channels-last),
+    its R channels times ``w`` [R, C*kh*kw] over the kh x kw window at that
+    position of an output ``out_shape`` [N,C,H,W] zero-padded by ``pad``;
+    the adjoint of _gather's windowing. Adds ``b`` [C] and applies ReLU if
+    given. A C-contiguous ``y`` is read in place, a transposed view of a
+    channels-first array is copied one block at a time."""
     n, c, h, wdt = out_shape
-    _, r, gh, gw = y.shape
+    _, gh, gw, r = y.shape
     k = w.shape[1]
     taps = _tap_table(c, h, wdt, (gh, gw), kh, kw, stride, pad)
     out = np.empty(out_shape)
     for f0, f1 in _blocks(n, gh * gw * k * 8):
         m = f1 - f0
-        rows = y[f0:f1].transpose(0, 2, 3, 1).reshape(-1, r)
+        rows = y[f0:f1].reshape(-1, r)
         prod = np.empty((m * gh * gw, k + 1))
         np.matmul(rows, w, out=prod[:, :k])
         prod[:, k] = 0.0
@@ -613,25 +648,28 @@ def _scatter(
 def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, pad: int = 0, relu: bool = False) -> Tensor:
     """2-D cross-correlation. x: [N,C,H,W], w: [O,C,kh,kw], b: [O].
     Followed by ReLU when ``relu``."""
-    _, c, h, wdt = x.data.shape
+    n, c, h, wdt = x.data.shape
     o, c2, kh, kw = w.data.shape
     if c != c2:
         raise ValueError(f"conv2d channel mismatch: input {c}, kernel {c2}")
     grid = ((h + 2 * pad - kh) // stride + 1, (wdt + 2 * pad - kw) // stride + 1)
     w_flat = w.data.reshape(o, -1)
-    out_data = _gather(x.data, w_flat.T, grid, kh, kw, stride, pad, b.data, relu)
+    out_data = _gather(_window_rows(x.data, grid, kh, kw, stride, pad), n, w_flat.T, grid, b.data, relu)
 
     def vjp(g):
+        nonlocal out_data
         if relu:
             g *= out_data > 0.0
+        del out_data
+        gb = g.sum(axis=(0, 2, 3)) if b.requires_grad else None
+        g_rows = g.transpose(0, 2, 3, 1)  # channels-last; a view until the weight GEMM needs it whole
+        del g
         gw = None
         if w.requires_grad:
+            g_rows = np.ascontiguousarray(g_rows)
             # the window rows are gathered again from x, not kept on the tape
-            cols = _windows(x.data, grid, kh, kw, stride, pad)
-            gw = (g.transpose(0, 2, 3, 1).reshape(-1, o).T @ cols).reshape(w.data.shape)
-            del cols
-        gx = _scatter(g, w_flat, x.data.shape, kh, kw, stride, pad) if x.requires_grad else None
-        gb = g.sum(axis=(0, 2, 3)) if b.requires_grad else None
+            gw = (g_rows.reshape(-1, o).T @ _windows(x.data, grid, kh, kw, stride, pad)).reshape(w.data.shape)
+        gx = _scatter(g_rows, w_flat, x.data.shape, kh, kw, stride, pad) if x.requires_grad else None
         return gx, gw, gb
 
     return _node(out_data, (x, w, b), vjp)
@@ -658,20 +696,27 @@ def conv2d_transpose(
     ho = (h - 1) * stride - 2 * pad + kh + out_extra
     wo = (wdt - 1) * stride - 2 * pad + kw + out_extra
     w_flat = w.data.reshape(cin, -1)
-    out_data = _scatter(x.data, w_flat, (n, cout, ho, wo), kh, kw, stride, pad, b.data, relu)
+    out_data = _scatter(x.data.transpose(0, 2, 3, 1), w_flat, (n, cout, ho, wo), kh, kw, stride, pad, b.data, relu)
 
     def vjp(g):
+        nonlocal out_data
         if relu:
             g *= out_data > 0.0
+        del out_data
+        gb = g.sum(axis=(0, 2, 3)) if b.requires_grad else None
         # out_extra only ever adds trailing rows and columns that no window of x reaches
-        gw = None
+        gw = gx = None
         if w.requires_grad:
             g_win = _windows(g, (h, wdt), kh, kw, stride, pad)
+            del g
             x_flat = x.data.transpose(0, 2, 3, 1).reshape(-1, cin)
             gw = (x_flat.T @ g_win).reshape(w.data.shape)
-            del g_win
-        gx = _gather(g, w_flat.T, (h, wdt), kh, kw, stride, pad) if x.requires_grad else None
-        gb = g.sum(axis=(0, 2, 3)) if b.requires_grad else None
+            del x_flat
+            if x.requires_grad:
+                gx = _gather(_row_blocks(g_win, n), n, w_flat.T, (h, wdt))
+        elif x.requires_grad:
+            # no weight GEMM to share the rows with: build them one block at a time
+            gx = _gather(_window_rows(g, (h, wdt), kh, kw, stride, pad), n, w_flat.T, (h, wdt))
         return gx, gw, gb
 
     return _node(out_data, (x, w, b), vjp)

@@ -35,6 +35,10 @@ import numpy as np
 
 @dataclass
 class SequenceBatch:
+    """One sampled batch of windows, batch-major. ``observations`` is a view
+    of time-major memory: its ``[L+1, B, ...]`` transpose is C-contiguous,
+    so the latent model reads the frames time-major without a copy."""
+
     observations: np.ndarray  # [B, L+1, *obs_shape], float64
     actions: np.ndarray       # [B, L, action_dim]
     rewards: np.ndarray       # [B, L]
@@ -118,7 +122,10 @@ class ReplayBuffer:
     # -- sampling ------------------------------------------------------------
 
     def sample_sequences(self, batch_size: int, length: int) -> SequenceBatch:
-        """Uniform over all valid (episode, start) window positions."""
+        """Uniform over all valid (episode, start) window positions.
+
+        The frames are gathered time-major, decoded to float64 in place,
+        and handed out as the ``[B, L+1, ...]`` view of that one array."""
         if length < 1:
             raise ValueError("length must be >= 1")
         starts, counts = self._window_counts(length)
@@ -134,8 +141,10 @@ class ReplayBuffer:
         rows = (first[:, None] + np.arange(length + 1)) % self.capacity
         steps = rows[:, :-1]
         rec = self._records
+        frames = rec["obs"][rows.T].astype(np.float64)  # time-major [L+1, B, *obs_shape]
+        frames /= 255.0
         return SequenceBatch(
-            rec["obs"][rows].astype(np.float64) / 255.0,
+            frames.swapaxes(0, 1),
             rec["act"][steps],
             rec["rew"][steps],
             rec["cost"][steps],

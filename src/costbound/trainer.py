@@ -316,7 +316,9 @@ class Trainer:
         except NonFiniteLossError:
             self._diagnostic_abort()
             raise
-        del batch  # backward reads none of these frames; free them before its peak
+        # the frames live on as the encoder's input on the tape, freed once
+        # conv1's vjp has run; this frees only the per-step arrays
+        del batch
         self._apply(self.opt_model, loss)
         value = loss.item()
         self.loss_sums["model"] += value

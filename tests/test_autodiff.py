@@ -1,4 +1,5 @@
 import gc
+import sys
 import tracemalloc
 import weakref
 
@@ -114,10 +115,6 @@ def test_backward_peak_memory_stays_below_half_the_forward_tape():
     ad.backward(_conv_autoencoder_loss(frames, params))  # fills the index-table caches
     for p in params:
         p.grad = None
-    # every conv vjp gathers window rows again (conv1 and conv2 of their
-    # inputs, the deconvs of their output gradients) and drops them before
-    # the next vjp runs; conv1's and deconv2's are the largest
-    rows = max(_window_row_bytes(16, 3, (16, 16)), _window_row_bytes(16, 8, (8, 8)))
     # one output per layer (conv1, conv2, deconv1, deconv2), err, its square and the sum
     layer_outputs = 8 * (16 * 8 * 16 * 16 + 16 * 16 * 8 * 8 + 16 * 8 * 16 * 16 + 3 * 16 * 3 * 32 * 32 + 1)
     tracemalloc.start()
@@ -137,8 +134,82 @@ def test_backward_peak_memory_stays_below_half_the_forward_tape():
     # beyond the node outputs only bookkeeping, less than conv2's relu mask
     # would be: no masks and no window rows
     assert tape - outputs < 16 * 16 * 8 * 8
-    assert peak - before < 0.5 * tape + rows
+    # every conv vjp builds window rows (conv1 and conv2 of their inputs,
+    # the deconvs of their output gradients), but by then backward has freed
+    # the node outputs and upstream gradients that it passed
+    assert peak - before < 0.5 * tape
     assert all(p.grad is not None for p in params)
+
+
+def _decoder_loss(feats, target, params):
+    """linear up and a stride-2 transposed conv, each with its ReLU fused
+    in, then a plain stride-2 transposed conv, against ``target``."""
+    w0, b0, w1, b1, w2, b2 = params
+    h = ad.linear(feats, w0, b0, relu=True).reshape(len(target), 32, 8, 8)
+    h = ad.conv2d_transpose(h, w1, b1, stride=2, pad=1, out_extra=1, relu=True)
+    err = ad.conv2d_transpose(h, w2, b2, stride=2, pad=1, out_extra=1) - target
+    return (err * err).sum()
+
+
+def test_decoder_backward_peak_stays_below_one_window_row_set_and_one_layer_output():
+    n = 16
+    rng = np.random.default_rng(5)
+    feats, target = Tensor(rng.normal(size=(n, 24))), rng.normal(size=(n, 3, 32, 32))
+    shapes = [(24, 32 * 8 * 8), (32 * 8 * 8,), (32, 16, 3, 3), (16,), (16, 3, 3, 3), (3,)]
+    params = [Tensor(rng.normal(size=shape) * 0.1, requires_grad=True) for shape in shapes]
+    ad.backward(_decoder_loss(feats, target, params))  # fills the index-table caches
+    # deconv1's vjp builds the window rows of its 16-channel output gradient
+    # at the 8 x 8 input grid; deconv1's output is the largest layer output
+    rows = max(_window_row_bytes(n, 16, (8, 8)), _window_row_bytes(n, 3, (16, 16)))
+    layer_output = 8 * n * max(32 * 8 * 8, 16 * 16 * 16, 3 * 32 * 32)
+    tracemalloc.start()
+    try:
+        loss = _decoder_loss(feats, target, params)
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        ad.backward(loss)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # while a vjp builds its rows, neither its node's output nor the
+    # upstream gradient that backward handed it is held any more
+    assert peak - before < rows + layer_output
+    assert all(p.grad is not None for p in params)
+
+
+def test_backward_releases_each_node_before_its_vjp_runs():
+    x = Tensor(np.arange(4.0), requires_grad=True)
+    seen = []
+
+    def vjp(g):
+        seen.append(output())
+        return (g * 2.0,)
+
+    out = ad._node(x.data * 2.0, (x,), vjp)
+    # Tensor has no weakref slot; its data array lives exactly as long as it
+    output = weakref.ref(out.data)
+    loss = out.sum()
+    del out
+    ad.backward(loss)
+    assert seen == [None]
+    assert np.array_equal(x.grad, np.full(4, 2.0))
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11), reason="before 3.11 CPython keeps call arguments on the caller's stack")
+def test_each_vjp_holds_the_only_reference_to_its_upstream_gradient():
+    x = Tensor(np.arange(4.0), requires_grad=True)
+    freed = []
+
+    def vjp(g):
+        upstream = weakref.ref(g)
+        gx = g * 3.0
+        del g
+        freed.append(upstream() is None)
+        return (gx,)
+
+    ad.backward(ad._node(x.data * 3.0, (x,), vjp).sum())
+    assert freed == [True]
+    assert np.array_equal(x.grad, np.full(4, 3.0))
 
 
 def test_tanh_matmul_matches_finite_differences():
@@ -460,8 +531,8 @@ _CONV_CASES = {
 _REFERENCES = {"conv2d": reference_conv2d, "conv2d_transpose": reference_conv2d_transpose}
 
 
-def _conv_outputs(op, x_val, w_val, b_val, g, x_grad=True, **kw):
-    x = Tensor(x_val, requires_grad=x_grad)
+def _conv_outputs(op, x_val, w_val, b_val, g, **kw):
+    x = Tensor(x_val, requires_grad=True)
     w = Tensor(w_val, requires_grad=True)
     b = Tensor(b_val, requires_grad=True)
     out = getattr(ad, op)(x, w, b, **kw)
@@ -574,17 +645,69 @@ def test_conv2d_keeps_no_window_rows_on_the_tape():
     assert held - out.data.nbytes < _window_row_bytes(8, 8, (8, 8))
 
 
-@pytest.mark.parametrize("case", ["desk_conv1", "desk_deconv2"])
-def test_conv_input_without_grad_gets_no_gradient(case):
+# which of (x, w, b) require a gradient; w is frozen by detach
+_GRAD_COMBINATIONS = [(x, w, b) for x in (True, False) for w in (True, False) for b in (True, False) if x or w or b]
+
+
+@pytest.mark.parametrize("needs", _GRAD_COMBINATIONS, ids=lambda n: "".join("xwb"[i] for i in range(3) if n[i]))
+@pytest.mark.parametrize("case", ["desk_conv1", "desk_deconv2", "conv_k2_stride3_pad2", "deconv_k2_stride3_pad2"])
+def test_conv_vjps_match_the_reference_bitwise_with_any_operand_frozen(case, needs):
     op, x_shape, w_shape, kw = _CONV_CASES[case]
     rng = np.random.default_rng(12)
-    x_val, w_val = rng.normal(size=x_shape), rng.normal(size=w_shape)
-    b_val = rng.normal(size=w_shape[0] if op == "conv2d" else w_shape[1])
-    ref_out, ref_vjp = _REFERENCES[op](x_val, w_val, b_val, **kw)
+    vals = [rng.normal(size=x_shape), rng.normal(size=w_shape)]
+    vals.append(rng.normal(size=w_shape[0] if op == "conv2d" else w_shape[1]))
+    ref_out, ref_vjp = _REFERENCES[op](*vals, **kw)
     g = rng.normal(size=ref_out.shape)
-    gx, gw, gb = _conv_outputs(op, x_val, w_val, b_val, g, x_grad=False, **kw)[1]
-    _, ref_gw, ref_gb = ref_vjp(g)
-    assert gx is None and np.array_equal(gw, ref_gw) and np.array_equal(gb, ref_gb)
+    x, w, b = (Tensor(v, requires_grad=True) for v in vals)
+    operands = [t if need else (t.detach() if t is w else Tensor(t.data)) for t, need in zip((x, w, b), needs)]
+    out = getattr(ad, op)(*operands, **kw)
+    # the vjp itself computes nothing for a frozen operand, which backward would drop anyway
+    direct = getattr(ad, op)(*operands, **kw)._vjp(g.copy())
+    ad.backward((out * g).sum())  # out's upstream gradient is g, bit for bit
+    _assert_bitwise_equal(out.data, ref_out)
+    for t, need, got, want in zip((x, w, b), needs, direct, ref_vjp(g)):
+        if need:
+            _assert_bitwise_equal(got, want)
+            _assert_bitwise_equal(t.grad, want)
+        else:
+            assert got is None and t.grad is None
+
+
+@pytest.mark.parametrize("w_grad", [True, False], ids=["w", "w_frozen"])
+@pytest.mark.parametrize("case", ["desk_conv1", "desk_deconv2"])
+def test_each_conv_vjp_builds_its_window_rows_once(case, w_grad, monkeypatch):
+    op, x_shape, w_shape, kw = _CONV_CASES[case]
+    rng = np.random.default_rng(15)
+    w = Tensor(rng.normal(size=w_shape), requires_grad=True)
+    out = getattr(ad, op)(
+        Tensor(rng.normal(size=x_shape), requires_grad=True),
+        w if w_grad else w.detach(),
+        Tensor(rng.normal(size=w_shape[0] if op == "conv2d" else w_shape[1]), requires_grad=True),
+        **kw,
+    )
+    builds, whole = [], []
+    window_rows, windows = ad._window_rows, ad._windows
+
+    def counted(*args, **kwargs):
+        builds.append(args[0].shape)
+        return window_rows(*args, **kwargs)
+
+    def counted_whole(*args, **kwargs):
+        whole.append(args[0].shape)
+        return windows(*args, **kwargs)
+
+    monkeypatch.setattr(ad, "_window_rows", counted)
+    monkeypatch.setattr(ad, "_windows", counted_whole)
+    gx, gw, gb = out._vjp(rng.normal(size=out.shape))
+    # conv2d: x's rows for the weight gradient; conv2d_transpose: the output
+    # gradient's rows, read by both the weight and the input gradient, or
+    # gathered one block at a time when the weight is frozen
+    rows_of = x_shape if op == "conv2d" else out.shape
+    assert builds == ([rows_of] if w_grad or op == "conv2d_transpose" else [])
+    # the whole set of rows only for a weight gradient
+    assert whole == ([rows_of] if w_grad else [])
+    assert gx.shape == x_shape and gb.shape == (len(gb),)
+    assert gw.shape == w_shape if w_grad else gw is None
 
 
 def test_linear_input_without_grad_gets_no_gradient():

@@ -5,7 +5,8 @@ from costbound import autodiff as ad
 from costbound.autodiff import Tensor
 from costbound.latent import LatentModel, LatentModelConfig, posterior_noise
 from costbound.oracle import finite_diff_grad, grad_rel_error
-from costbound.replay import SequenceBatch
+from costbound import latent
+from costbound.replay import ReplayBuffer, SequenceBatch
 
 
 OBS = (1, 4, 4)
@@ -253,3 +254,29 @@ def test_conv_encoder_path_shapes():
 def test_an_encoder_other_than_conv_is_rejected(encoder):
     with pytest.raises(ValueError, match="unknown encoder"):
         LatentModelConfig(obs_shape=OBS, action_dim=2, encoder=encoder)
+
+
+def test_model_loss_reads_the_sampled_frames_without_copying_them(monkeypatch):
+    rng = np.random.default_rng(9)
+    model = LatentModel(tiny_config(), rng)
+    buf = ReplayBuffer(40, OBS, action_dim=2, seed=1)
+    for t in range(12):
+        buf.append(rng.integers(0, 256, size=OBS) / 255.0, rng.uniform(-1, 1, size=2), 0.0, 0.0, done=t == 11)
+    batch = buf.sample_sequences(3, 2)
+    conv_inputs, targets = [], []
+    conv2d, log_prob = ad.conv2d, latent.fixed_std_gaussian_log_prob
+
+    def recorded_conv2d(x, *args, **kwargs):
+        conv_inputs.append(x.data)
+        return conv2d(x, *args, **kwargs)
+
+    def recorded_log_prob(mean, log_std, x):
+        targets.append(x)
+        return log_prob(mean, log_std, x)
+
+    monkeypatch.setattr(ad, "conv2d", recorded_conv2d)
+    monkeypatch.setattr(latent, "fixed_std_gaussian_log_prob", recorded_log_prob)
+    model.model_loss(batch, posterior_noise(np.random.default_rng(2), 3, 3, model.cfg))
+    # conv1's input and the reconstruction target are the batch's own memory
+    assert np.shares_memory(conv_inputs[0], batch.observations)
+    assert np.shares_memory(targets[0], batch.observations)

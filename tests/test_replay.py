@@ -215,3 +215,21 @@ def test_load_state_rejects_more_records_than_capacity():
     meta, arrays = buf.state()
     with pytest.raises(ValueError):
         make_buffer(capacity=11).load_state(meta, arrays)
+
+
+def test_sampled_frames_are_a_batch_major_view_of_time_major_memory():
+    rng = np.random.default_rng(7)
+    buf = ReplayBuffer(50, (3, 4, 4), action_dim=1, seed=5)
+    count = 0
+    for length in (13, 9, 17, 11, 20, 14):  # 84 records: the ring wraps and evicts
+        for t in range(length):
+            frame = rng.integers(0, 256, size=(3, 4, 4)) / 255.0
+            buf.append(frame, np.array([float(count)]), 0.0, 0.0, done=t == length - 1)
+            count += 1
+    batch = buf.sample_sequences(7, 4)
+    # each action holds its record's counter, so the first one locates the window
+    rows = (batch.actions[:, 0, 0].astype(np.intp)[:, None] + np.arange(5)) % 50
+    want = buf._records["obs"][rows].astype(np.float64) / 255.0
+    assert batch.observations.shape == want.shape == (7, 5, 3, 4, 4)
+    assert np.ascontiguousarray(batch.observations).tobytes() == want.tobytes()
+    assert batch.observations.transpose(1, 0, 2, 3, 4).flags.c_contiguous
