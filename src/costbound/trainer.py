@@ -12,14 +12,21 @@ episodes run on a separate environment instance with the deterministic
 policy and the mean-path latent filter, and never touch learned state.
 
 ``env_step`` counts base environment steps everywhere (one agent decision
-advances it by the action-repeat factor).
+advances it by the action-repeat factor). The run's position is
+``env_step`` plus the model optimizer's step count, and everything else
+follows from them: collection runs up to ``warmup_transitions *
+action_repeat`` base steps, the model-only updates run until the model
+optimizer has taken ``warmup_model_steps`` steps, the main phase (the
+only phase with the filter live) holds every later decision, and a
+decision evaluates once per multiple of ``eval_interval`` and checkpoints
+at a multiple of ``checkpoint_interval`` that its advance crossed.
 
 A checkpoint's header holds each fact of the run state once, as plain
 JSON: the scalar fields below, the optimizer step counts, the Lagrange
 multiplier, the generators' states, the HazardWorld state and the replay
 buffer's meta. What follows from them is not stored: the warmup decisions
-collected are ``env_step // action_repeat``, and the filter is live in
-the main phase.
+collected are ``env_step // action_repeat``, and the filter is live once
+``env_step`` is past the warmup collection.
 """
 
 from __future__ import annotations
@@ -51,10 +58,7 @@ from .replay import ReplayBuffer
 METRICS_HEADER = "step,reward_mean,cost_mean,lambda,alpha,model_loss,q1_loss,q2_loss,qc_loss,policy_loss"
 
 # scalar run state that checkpoints carry in their JSON header as is
-_STATE_FIELDS = (
-    "phase", "env_step", "warmup_model_done", "grad_accum", "ep_cost",
-    "eval_next", "ckpt_next", "metrics_rows", "loss_sums", "loss_counts",
-)
+_STATE_FIELDS = ("env_step", "grad_accum", "ep_cost", "metrics_rows", "loss_sums", "loss_counts")
 
 
 def build_env(cfg: TrainConfig, seed: int) -> ActionRepeat:
@@ -120,12 +124,12 @@ def load_metrics(path) -> np.ndarray:
     if not rows or rows[0] != METRICS_HEADER:
         raise ValueError(f"{path} is not a metrics file")
     if len(rows) == 1:
-        return np.empty((0, 10))
+        return np.empty((0, len(METRICS_HEADER.split(","))))
     return np.array([[float(v) for v in row.split(",")] for row in rows[1:]])
 
 
 class Trainer:
-    CHECKPOINT_STATE_VERSION = 3
+    CHECKPOINT_STATE_VERSION = 4
 
     def __init__(self, cfg: TrainConfig, out_dir):
         cfg.validate()
@@ -191,13 +195,9 @@ class Trainer:
             cfg.replay_capacity, obs_shape, self.action_dim, seed=int(children[8].generate_state(1)[0])
         )
 
-        self.phase = "warmup_collect"
         self.env_step = 0
-        self.warmup_model_done = 0
         self.grad_accum = 0.0
         self.ep_cost = 0.0
-        self.eval_next = cfg.eval_interval
-        self.ckpt_next = cfg.checkpoint_interval if cfg.checkpoint_interval else None
         self.metrics_rows: list[str] = []
         self.loss_sums = {"model": 0.0, "q1": 0.0, "q2": 0.0, "qc": 0.0, "policy": 0.0}
         self.loss_counts = {"model": 0, "ac": 0}
@@ -222,31 +222,28 @@ class Trainer:
         self._write_manifest()
         self._flush_metrics()
         cfg = self.cfg
-        while True:
-            if self.env_step >= cfg.total_env_steps:
-                break
-            if self.phase == "warmup_collect":
-                if self.env_step >= cfg.warmup_transitions * cfg.action_repeat:
-                    self.phase = "warmup_model"
-                    continue
-                action = truncated_normal(self.rngs["warmup"], cfg.warmup_policy_std, self.action_dim)
-                self._collect(action, warmup=True)
-                self._maybe_checkpoint()
-            elif self.phase == "warmup_model":
-                if self.warmup_model_done >= cfg.warmup_model_steps or not self._has_data():
-                    self._enter_main_phase()
-                    continue
+        while self.env_step < min(cfg.total_env_steps, cfg.warmup_transitions * cfg.action_repeat):
+            action = truncated_normal(self.rngs["warmup"], cfg.warmup_policy_std, self.action_dim)
+            self._collect(action)
+            self._maybe_checkpoint()
+        if self.z1 is None and self.env_step < cfg.total_env_steps:
+            while self.opt_model.step_count < cfg.warmup_model_steps and self._has_data():
                 self._model_update()
-                self.warmup_model_done += 1
-            else:  # main
-                action = self._policy_action()
-                self._collect(action, warmup=False)
-                self.grad_accum += cfg.action_repeat * cfg.grad_steps_per_env_step
-                while self.grad_accum >= 1.0:
-                    self.grad_accum -= 1.0
-                    self._gradient_step()
-                self._maybe_eval()
-                self._maybe_checkpoint()
+            # the main phase starts a fresh episode, with the filter live;
+            # evaluation points crossed during warmup are skipped
+            self.buffer.end_episode()
+            self.ep_cost = 0.0
+            self.obs = self.env.reset()
+            self._filter_reset()
+        while self.env_step < cfg.total_env_steps:
+            self._collect(self._policy_action())
+            self.grad_accum += cfg.action_repeat * cfg.grad_steps_per_env_step
+            while self.grad_accum >= 1.0:
+                self.grad_accum -= 1.0
+                self._gradient_step()
+            for _ in range(self._crossed(cfg.eval_interval)):
+                self._record_metrics(*self.evaluate())
+            self._maybe_checkpoint()
         self._flush_metrics()
         self.save(self.final_checkpoint_path)
         return self.final_checkpoint_path
@@ -254,19 +251,15 @@ class Trainer:
     def _has_data(self) -> bool:
         return self.buffer.num_windows(self.cfg.sequence_length) > 0
 
-    def _enter_main_phase(self):
-        self.buffer.end_episode()
-        self.ep_cost = 0.0
-        self.obs = self.env.reset()
-        self._filter_reset()
-        # any eval points crossed during warmup are skipped, not replayed
-        interval = self.cfg.eval_interval
-        self.eval_next = ((self.env_step // interval) + 1) * interval
-        self.phase = "main"
+    def _crossed(self, interval: int) -> int:
+        """Multiples of ``interval`` that the last decision's advance crossed."""
+        return self.env_step // interval - (self.env_step - self.cfg.action_repeat) // interval
 
     # -- collection ------------------------------------------------------------------
 
-    def _collect(self, action: np.ndarray, warmup: bool):
+    def _collect(self, action: np.ndarray):
+        """One decision; the filter follows it once it is live."""
+        live = self.z1 is not None
         result = self.env.step(action)
         # exact: build_env makes every episode a whole number of decisions,
         # so ActionRepeat never stops early here (perfbench's
@@ -275,14 +268,14 @@ class Trainer:
         self.buffer.append(self.obs, action, result.reward, result.cost, result.done)
         self.ep_cost += result.cost
         if result.done:
-            if not warmup and self.cfg.constrained:
+            if live and self.cfg.constrained:
                 self.lagrange.update(self.ep_cost)
             self.ep_cost = 0.0
             self.obs = self.env.reset()
-            if not warmup:
+            if live:
                 self._filter_reset()
         else:
-            if not warmup:
+            if live:
                 self._filter_update(action, result.observation)
             self.obs = result.observation
 
@@ -421,12 +414,6 @@ class Trainer:
                     z = self.model.filter_step(z, action, result.observation, zero1, zero2)
         return float(rewards.mean()), float(costs.mean())
 
-    def _maybe_eval(self):
-        while self.env_step >= self.eval_next:
-            reward_mean, cost_mean = self.evaluate()
-            self._record_metrics(reward_mean, cost_mean)
-            self.eval_next += self.cfg.eval_interval
-
     def _record_metrics(self, reward_mean: float, cost_mean: float):
         def mean_of(key, count_key):
             count = self.loss_counts[count_key]
@@ -469,12 +456,9 @@ class Trainer:
     # -- checkpointing -----------------------------------------------------------------
 
     def _maybe_checkpoint(self):
-        if self.ckpt_next is None:
-            return
-        if self.env_step >= self.ckpt_next:
+        interval = self.cfg.checkpoint_interval
+        if interval and self._crossed(interval):
             self.save(self.out_dir / f"step_{self.env_step}.ckpt")
-            while self.ckpt_next <= self.env_step:
-                self.ckpt_next += self.cfg.checkpoint_interval
 
     def _optimizers(self) -> dict:
         return {
@@ -531,7 +515,7 @@ class Trainer:
             raise CheckpointError(f"unsupported trainer state version {meta.get('state_version')}")
         cfg = TrainConfig.from_dict(meta["config"])
         trainer = cls(cfg, out_dir)
-        if meta["phase"] == "main":
+        if meta["env_step"] > cfg.warmup_transitions * cfg.action_repeat:  # the main phase
             trainer.z1, trainer.z2 = np.empty(cfg.z1_size), np.empty(cfg.z2_size)
         table = trainer._arrays()
         # the empty ring's state() names the buffer's arrays

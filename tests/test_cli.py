@@ -35,6 +35,28 @@ def test_train_resume_reproduces_the_final_checkpoint(trained):
     assert (root / "resumed" / "final.ckpt").read_bytes() == (root / "run" / "final.ckpt").read_bytes()
 
 
+RESUME_MISMATCHES = {
+    "seed": ({}, ["--seed", "9"], "seed (4 vs 9)"),
+    "config": (
+        {"total_env_steps": 200, "hazard_count": 2},
+        ["--seed", "9"],
+        "hazard_count (5 vs 2), total_env_steps (130 vs 200), seed (4 vs 9)",
+    ),
+}
+
+
+@pytest.mark.parametrize("overrides, flags, differing", RESUME_MISMATCHES.values(), ids=RESUME_MISMATCHES.keys())
+def test_train_resume_refuses_a_config_or_seed_other_than_the_checkpoints(
+    trained, tmp_path, capsys, overrides, flags, differing
+):
+    _, root = trained
+    save_config(short_config(**overrides), tmp_path / "other.cfg")
+    args = ["train", "--config", str(tmp_path / "other.cfg"), "--out", str(tmp_path / "resumed"), *flags]
+    assert main(args + ["--resume", str(root / "run" / "step_120.ckpt")]) == 2
+    assert_one_error_line(capsys, f"the checkpoint's config differs from --config and --seed in {differing}")
+    assert not any((tmp_path / "resumed").glob("*"))
+
+
 def test_evaluate_prints_reward_and_cost(trained, capsys):
     _, root = trained
     assert main(["evaluate", "--checkpoint", str(root / "run" / "final.ckpt"), "--episodes", "1"]) == 0
@@ -61,12 +83,16 @@ def test_evaluate_of_a_state_version_1_checkpoint_exits_two(trained, tmp_path, c
     assert_one_error_line(capsys, "unsupported trainer state version 1")
 
 
-def test_a_state_version_2_checkpoint_is_refused(trained, tmp_path, capsys):
-    # the version-2 header as it was written: the facts that version 3
-    # derives, the ActionRepeat wrapper around the env state and the
-    # generator integers as strings
-    _, root = trained
-    meta, arrays = load_checkpoint(root / "run" / "final.ckpt")
+def as_version_3(meta):
+    # the version-3 header also stored the schedule's position beside env_step
+    meta.update(state_version=3, phase="main", warmup_model_done=2, eval_next=150, ckpt_next=140)
+
+
+def as_version_2(meta):
+    # the version-2 header as it was written: version 3's keys, the facts
+    # that version 3 derives, the ActionRepeat wrapper around the env state
+    # and the generator integers as strings
+    as_version_3(meta)
     stringify = lambda rng: {**rng, "state": {k: str(v) for k, v in rng["state"].items()}}
     meta.update(
         state_version=2, warmup_collected=30, ep_reward=0.0, has_filter=True,
@@ -74,11 +100,18 @@ def test_a_state_version_2_checkpoint_is_refused(trained, tmp_path, capsys):
         rngs={name: stringify(rng) for name, rng in meta["rngs"].items()},
     )
     meta["buffer_meta"].update(obs_dtype="uint8", rng=stringify(meta["buffer_meta"]["rng"]))
-    save_checkpoint(tmp_path / "v2.ckpt", meta, arrays)
-    with pytest.raises(CheckpointError, match="unsupported trainer state version 2"):
-        Trainer.restore(tmp_path / "v2.ckpt", tmp_path / "out")
-    assert main(["evaluate", "--checkpoint", str(tmp_path / "v2.ckpt")]) == 2
-    assert_one_error_line(capsys, "unsupported trainer state version 2")
+
+
+@pytest.mark.parametrize("version, rewrite", [(2, as_version_2), (3, as_version_3)])
+def test_a_checkpoint_of_an_older_state_version_is_refused(trained, tmp_path, capsys, version, rewrite):
+    _, root = trained
+    meta, arrays = load_checkpoint(root / "run" / "final.ckpt")
+    rewrite(meta)
+    save_checkpoint(tmp_path / "old.ckpt", meta, arrays)
+    with pytest.raises(CheckpointError, match=f"unsupported trainer state version {version}"):
+        Trainer.restore(tmp_path / "old.ckpt", tmp_path / "out")
+    assert main(["evaluate", "--checkpoint", str(tmp_path / "old.ckpt")]) == 2
+    assert_one_error_line(capsys, f"unsupported trainer state version {version}")
 
 
 def write_metrics(path, reward, cost, steps=(100, 200)):

@@ -28,11 +28,12 @@ def test_resume_from_any_checkpoint_reproduces_the_run(tmp_path):
     final = trainer.run().read_bytes()
     metrics = trainer.metrics_path.read_text()
     # mid warmup collection; the last warmup-collection step (the next call
-    # enters warmup_model, then main); main phase, mid-episode, after eviction
-    for step, phase in ((20, "warmup_collect"), (60, "warmup_collect"), (120, "main")):
+    # runs the model-only updates, then the main phase); main phase,
+    # mid-episode, after eviction
+    for step, live in ((20, False), (60, False), (120, True)):
         restored = cb.Trainer.restore(tmp_path / "full" / f"step_{step}.ckpt", tmp_path / str(step))
-        assert (restored.phase, restored.env_step) == (phase, step)
-        if phase == "main":
+        assert (restored.z1 is not None, restored.env_step) == (live, step)
+        if live:
             assert len(restored.buffer) < restored.env_step // 2  # one record per decision
             assert restored.env.env.get_state()["steps"] % 40 != 0
         assert restored.run().read_bytes() == final
@@ -54,6 +55,52 @@ def test_non_finite_critic_leaves_the_diagnostic_checkpoint_as_before_the_step(t
     assert np.isnan(arrays["params/q1/000"]).sum() == 1
 
 
+SCHEDULES = {
+    # intervals that are not multiples of action_repeat (2): each point
+    # falls on the first decision past it
+    "odd intervals": (
+        {"eval_interval": 25, "checkpoint_interval": 15},
+        [76, 100, 126],
+        [16, 30, 46, 60, 76, 90, 106, 120],
+    ),
+    # an eval_interval below action_repeat: one decision records two rows
+    "eval below action_repeat": (
+        {"eval_interval": 1, "checkpoint_interval": 7, "total_env_steps": 70},
+        [62, 62, 64, 64, 66, 66, 68, 68, 70, 70],
+        [8, 14, 22, 28, 36, 42, 50, 56, 64, 70],
+    ),
+    # no warmup: the main phase starts with no data, and no model-only
+    # update runs
+    "no warmup": (
+        {"warmup_transitions": 0, "eval_interval": 15, "checkpoint_interval": 25, "total_env_steps": 40},
+        [16, 30],
+        [26],
+    ),
+}
+
+
+@pytest.mark.parametrize("overrides, eval_steps, checkpoint_steps", SCHEDULES.values(), ids=SCHEDULES.keys())
+def test_evaluations_and_checkpoints_fall_where_env_step_crosses_their_interval(
+    tmp_path, overrides, eval_steps, checkpoint_steps
+):
+    trainer = cb.Trainer(short_config(**overrides), tmp_path / "full")
+    final = trainer.run().read_bytes()
+    metrics = trainer.metrics_path.read_text()
+    assert [int(row.split(",")[0]) for row in metrics.splitlines()[1:]] == eval_steps
+    names = sorted(path.name for path in (tmp_path / "full").glob("step_*.ckpt"))
+    assert names == sorted(f"step_{step}.ckpt" for step in checkpoint_steps)
+    # every model update but the model-only ones came with an actor update
+    model_only = trainer.opt_model.step_count - trainer.opt_actor.step_count
+    assert model_only == (0 if trainer.cfg.warmup_transitions == 0 else trainer.cfg.warmup_model_steps)
+    for step in checkpoint_steps:
+        restored = cb.Trainer.restore(tmp_path / "full" / f"step_{step}.ckpt", tmp_path / str(step))
+        assert restored.run().read_bytes() == final, step
+        assert restored.metrics_path.read_text() == metrics, step
+        # the resumed run writes the later checkpoints and no other
+        resumed = sorted(path.name for path in (tmp_path / str(step)).glob("step_*.ckpt"))
+        assert resumed == sorted(f"step_{later}.ckpt" for later in checkpoint_steps if later > step), step
+
+
 @pytest.fixture(scope="module")
 def main_phase_checkpoint(tmp_path_factory):
     """The final checkpoint of a run that ends in the main phase, with the filter live."""
@@ -67,9 +114,8 @@ def test_the_header_is_plain_json_with_each_fact_once(main_phase_checkpoint):
     meta, _ = load_checkpoint(main_phase_checkpoint)
     assert header["meta"] == meta
     assert sorted(meta) == sorted([
-        "phase", "env_step", "warmup_model_done", "grad_accum", "ep_cost", "eval_next", "ckpt_next",
-        "metrics_rows", "loss_sums", "loss_counts", "state_version", "config", "lagrange_lam",
-        "opt_steps", "rngs", "env_state", "buffer_meta",
+        "env_step", "grad_accum", "ep_cost", "metrics_rows", "loss_sums", "loss_counts",
+        "state_version", "config", "lagrange_lam", "opt_steps", "rngs", "env_state", "buffer_meta",
     ])
 
 
@@ -113,7 +159,7 @@ def test_training_after_restore_writes_nothing_through_the_checkpoint_views(main
     assert not any(view.flags.writeable for view in views.values())
     before = {name: view.copy() for name, view in views.items()}
     for _ in range(3):
-        restored._collect(restored._policy_action(), warmup=False)
+        restored._collect(restored._policy_action())
         restored._gradient_step()
     live = {
         **restored._arrays(),
