@@ -486,11 +486,8 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None, relu: bool = False) ->
 #   weights for the input gradient, over the frame blocks that _window_rows
 #   walks, so its GEMMs are those of a gather from g. So g's window rows are
 #   live first with that copy of x, then with the input gradient.
-# A frozen weight needs no whole set of rows: conv2d hands _scatter g's
-# channels-last view, which it copies one block at a time, and
-# conv2d_transpose gathers g's window rows block by block for the input
-# gradient, the same blocks and GEMMs. Neither builds rows for a gradient
-# that no operand needs.
+# Every conv weight is a trained parameter, so each vjp computes the weight
+# gradient; it skips the input gradient when x is data, as conv1's is.
 #
 # The forward kernels add the bias and apply a fused ReLU to each block of
 # frames as soon as it is computed, while it is in cache; both are
@@ -662,13 +659,10 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, pad: int = 0, relu:
             g *= out_data > 0.0
         del out_data
         gb = g.sum(axis=(0, 2, 3)) if b.requires_grad else None
-        g_rows = g.transpose(0, 2, 3, 1)  # channels-last; a view until the weight GEMM needs it whole
+        g_rows = np.ascontiguousarray(g.transpose(0, 2, 3, 1))  # channels-last
         del g
-        gw = None
-        if w.requires_grad:
-            g_rows = np.ascontiguousarray(g_rows)
-            # the window rows are gathered again from x, not kept on the tape
-            gw = (g_rows.reshape(-1, o).T @ _windows(x.data, grid, kh, kw, stride, pad)).reshape(w.data.shape)
+        # the window rows are gathered again from x, not kept on the tape
+        gw = (g_rows.reshape(-1, o).T @ _windows(x.data, grid, kh, kw, stride, pad)).reshape(w.data.shape)
         gx = _scatter(g_rows, w_flat, x.data.shape, kh, kw, stride, pad) if x.requires_grad else None
         return gx, gw, gb
 
@@ -705,18 +699,12 @@ def conv2d_transpose(
         del out_data
         gb = g.sum(axis=(0, 2, 3)) if b.requires_grad else None
         # out_extra only ever adds trailing rows and columns that no window of x reaches
-        gw = gx = None
-        if w.requires_grad:
-            g_win = _windows(g, (h, wdt), kh, kw, stride, pad)
-            del g
-            x_flat = x.data.transpose(0, 2, 3, 1).reshape(-1, cin)
-            gw = (x_flat.T @ g_win).reshape(w.data.shape)
-            del x_flat
-            if x.requires_grad:
-                gx = _gather(_row_blocks(g_win, n), n, w_flat.T, (h, wdt))
-        elif x.requires_grad:
-            # no weight GEMM to share the rows with: build them one block at a time
-            gx = _gather(_window_rows(g, (h, wdt), kh, kw, stride, pad), n, w_flat.T, (h, wdt))
+        g_win = _windows(g, (h, wdt), kh, kw, stride, pad)
+        del g
+        x_flat = x.data.transpose(0, 2, 3, 1).reshape(-1, cin)
+        gw = (x_flat.T @ g_win).reshape(w.data.shape)
+        del x_flat
+        gx = _gather(_row_blocks(g_win, n), n, w_flat.T, (h, wdt)) if x.requires_grad else None
         return gx, gw, gb
 
     return _node(out_data, (x, w, b), vjp)

@@ -5,7 +5,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import tempfile
 from pathlib import Path
 
 from .checkpoint import CheckpointError
@@ -36,9 +35,9 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
-    with tempfile.TemporaryDirectory() as scratch:
-        trainer = Trainer.restore(args.checkpoint, scratch)
-        reward_mean, cost_mean = trainer.evaluate(episodes=args.episodes)
+    # evaluation writes nothing, so the trainer's directory is the checkpoint's own
+    trainer = Trainer.restore(args.checkpoint, Path(args.checkpoint).parent)
+    reward_mean, cost_mean = trainer.evaluate(episodes=args.episodes)
     print(f"reward_mean={reward_mean!r}")
     print(f"cost_mean={cost_mean!r}")
     return 0

@@ -1,11 +1,13 @@
 """Training configuration and the flat key-value config file format.
 
 Files hold one ``key = value`` pair per line; ``#`` starts a comment.
-Keys mirror TrainConfig fields exactly, and any other key is rejected.
+Keys mirror TrainConfig fields exactly; any other key, and a key set
+twice, is rejected. The shipped files set every field.
 Every run trains on HazardWorld frames with the convolutional pixel
 encoder, so no key names the environment or the encoder. ``lambda_lr`` has
 no default on purpose: the right value is strongly problem-dependent, so
-every config file must set it explicitly.
+every config file must set it explicitly. An unconstrained run is one whose
+Lagrange multiplier stays at zero: ``init_lambda = 0`` and ``lambda_lr = 0``.
 """
 
 from __future__ import annotations
@@ -66,11 +68,9 @@ class TrainConfig:
     warmup_model_steps: int = 30_000
     total_env_steps: int = 1_000_000     # base environment steps
     grad_steps_per_env_step: float = 1.0
-    warmup_policy_std: float = 1.0
 
-    # constraint
+    # constraint; an unconstrained run is init_lambda = 0, lambda_lr = 0
     cost_budget: float = 25.0
-    constrained: bool = True
 
     # evaluation and output
     eval_interval: int = 1000            # base environment steps
@@ -90,7 +90,7 @@ class TrainConfig:
             "feature_size", "model_hidden", "ac_hidden", "replay_capacity",
             "sequence_length", "model_batch", "ac_batch", "model_lr", "ac_lr",
             "gamma", "cost_gamma", "target_ema", "grad_clip", "init_alpha",
-            "eval_interval", "eval_episodes", "warmup_policy_std",
+            "eval_interval", "eval_episodes",
         ]
         for name in positive:
             if getattr(self, name) <= 0:
@@ -131,12 +131,6 @@ def _parse_value(field: dataclasses.Field, raw: str):
         if raw.lower() == "none":
             return None
         return float(raw)
-    if ftype == "bool":
-        if raw.lower() in ("true", "1", "yes"):
-            return True
-        if raw.lower() in ("false", "0", "no"):
-            return False
-        raise ValueError(f"cannot parse bool from {raw!r}")
     if ftype == "int":
         return int(raw)
     if ftype == "float":
@@ -147,6 +141,7 @@ def _parse_value(field: dataclasses.Field, raw: str):
 def load_config(path, overrides: dict | None = None) -> TrainConfig:
     fields = {f.name: f for f in dataclasses.fields(TrainConfig)}
     values: dict = {}
+    set_at: dict = {}
     for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
@@ -156,6 +151,9 @@ def load_config(path, overrides: dict | None = None) -> TrainConfig:
         key, raw = (part.strip() for part in stripped.split("=", 1))
         if key not in fields:
             raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
+        if key in set_at:
+            raise ValueError(f"{path}:{lineno}: config key {key!r} is already set on line {set_at[key]}")
+        set_at[key] = lineno
         values[key] = _parse_value(fields[key], raw)
     if overrides:
         values.update(overrides)
@@ -172,7 +170,5 @@ def save_config(cfg: TrainConfig, path):
             value = ",".join(str(v) for v in value)
         elif value is None:
             value = "none"
-        elif isinstance(value, bool):
-            value = "true" if value else "false"
         lines.append(f"{f.name} = {value}")
     Path(path).write_text("\n".join(lines) + "\n")

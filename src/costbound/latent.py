@@ -184,24 +184,20 @@ class LatentModel:
         target = np.ascontiguousarray(obs.transpose(1, 0, *range(2, obs.ndim))).reshape(steps * b, flat_dim)
         recon_nll = -fixed_std_gaussian_log_prob(dec_flat, self._log_recon_std, target).sum() / b
 
-        # reward and cost terms over the L transitions
-        if l > 0:
-            pairs = ad.concat(
-                [
-                    ad.concat([inf.states[t], Tensor(actions[:, t]), inf.states[t + 1]], axis=1)
-                    for t in range(l)
-                ],
-                axis=0,
-            )
-            r_target = batch.rewards.T.reshape(l * b, 1)
-            r_mean = self.reward_head(pairs)
-            reward_nll = -fixed_std_gaussian_log_prob(r_mean, 0.0, r_target).sum() / b
-            c_logit = self.cost_head(pairs)
-            violation = (batch.costs.T.reshape(l * b, 1) > 0.0).astype(np.float64)
-            cost_nll = -bernoulli_log_prob(c_logit, violation).sum() / b
-        else:
-            reward_nll = Tensor(0.0)
-            cost_nll = Tensor(0.0)
+        # reward and cost terms over the L >= 1 transitions
+        pairs = ad.concat(
+            [
+                ad.concat([inf.states[t], Tensor(actions[:, t]), inf.states[t + 1]], axis=1)
+                for t in range(l)
+            ],
+            axis=0,
+        )
+        r_target = batch.rewards.T.reshape(l * b, 1)
+        r_mean = self.reward_head(pairs)
+        reward_nll = -fixed_std_gaussian_log_prob(r_mean, 0.0, r_target).sum() / b
+        c_logit = self.cost_head(pairs)
+        violation = (batch.costs.T.reshape(l * b, 1) > 0.0).astype(np.float64)
+        cost_nll = -bernoulli_log_prob(c_logit, violation).sum() / b
 
         # KL over z1 at every sample point (z2 factors are shared and cancel)
         priors = self.priors(inf.z2, actions)

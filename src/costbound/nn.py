@@ -2,9 +2,10 @@
 
 Weights are initialized uniform in +/- 1/sqrt(fan_in), biases at zero,
 drawn from the generator handed to each constructor so whole-model
-construction is reproducible. Layers that feed the policy/critic losses
-accept ``frozen=True`` to evaluate with detached parameters: inputs keep
-their gradient path, the layer's own parameters receive none.
+construction is reproducible. ``Linear`` and ``MLP``, from which the
+critics are built, accept ``frozen=True`` to evaluate with detached
+parameters: inputs keep their gradient path, the layer's own parameters
+receive none. The convolutions and ``GaussianHead`` always train theirs.
 """
 
 from __future__ import annotations
@@ -115,8 +116,8 @@ class GaussianHead:
         self.net = MLP(in_dim, hidden, 2 * out_dim, rng)
         self.out_dim = out_dim
 
-    def __call__(self, x: Tensor, frozen: bool = False) -> DiagGaussian:
-        raw = self.net(x, frozen=frozen)
+    def __call__(self, x: Tensor) -> DiagGaussian:
+        raw = self.net(x)
         return DiagGaussian(raw[..., : self.out_dim], clamp_log_std(raw[..., self.out_dim :]))
 
     def parameters(self):

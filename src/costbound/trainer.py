@@ -2,10 +2,11 @@
 phases, periodic evaluation, metrics, and resumable checkpoints.
 
 The schedule is: (1) fill the replay buffer with ``warmup_transitions``
-wrapped steps of a truncated-Gaussian random policy; (2) train the latent
-model alone for ``warmup_model_steps``; (3) alternate one wrapped
-environment step (action from the actor on the online-filtered latent
-state) with ``grad_steps_per_env_step`` gradient steps per base step.
+wrapped steps of a unit-std truncated-Gaussian random policy; (2) train
+the latent model alone for ``warmup_model_steps``; (3) alternate one
+wrapped environment step (action from the actor on the online-filtered
+latent state) with ``grad_steps_per_env_step`` gradient steps per base
+step.
 Episode terminations during the main phase update the Lagrange
 multiplier with that episode's undiscounted cost return; evaluation
 episodes run on a separate environment instance with the deterministic
@@ -81,14 +82,14 @@ def build_env(cfg: TrainConfig, seed: int) -> ActionRepeat:
     return ActionRepeat(base, cfg.action_repeat)
 
 
-def truncated_normal(rng: np.random.Generator, std: float, size) -> np.ndarray:
-    """Zero-mean Gaussian with std ``std`` truncated to [-1, 1], by rejection."""
-    out = rng.standard_normal(size) * std
+def truncated_normal(rng: np.random.Generator, size) -> np.ndarray:
+    """Standard Gaussian truncated to [-1, 1], by rejection."""
+    out = rng.standard_normal(size)
     while True:
         bad = np.abs(out) > 1.0
         if not bad.any():
             return out
-        out[bad] = rng.standard_normal(int(bad.sum())) * std
+        out[bad] = rng.standard_normal(int(bad.sum()))
 
 
 def normalized_metrics(run_rows: np.ndarray, reference_rows: np.ndarray, window: int = 5) -> dict:
@@ -129,13 +130,15 @@ def load_metrics(path) -> np.ndarray:
 
 
 class Trainer:
-    CHECKPOINT_STATE_VERSION = 4
+    """Building or restoring a trainer writes nothing: ``out_dir`` is made
+    when ``run`` or a diagnostic abort first writes into it."""
+
+    CHECKPOINT_STATE_VERSION = 5
 
     def __init__(self, cfg: TrainConfig, out_dir):
         cfg.validate()
         self.cfg = cfg
         self.out_dir = Path(out_dir)
-        self.out_dir.mkdir(parents=True, exist_ok=True)
 
         seq = np.random.SeedSequence(cfg.seed)
         children = seq.spawn(9)
@@ -188,8 +191,7 @@ class Trainer:
         if target_entropy is None:
             target_entropy = -float(self.action_dim)
         self.temperature = TemperatureState(cfg.init_alpha, target_entropy, lr=cfg.ac_lr)
-        init_lambda = cfg.init_lambda if cfg.constrained else 0.0
-        self.lagrange = LagrangeState(init_lambda, lr=cfg.lambda_lr, budget=cfg.cost_budget)
+        self.lagrange = LagrangeState(cfg.init_lambda, lr=cfg.lambda_lr, budget=cfg.cost_budget)
 
         self.buffer = ReplayBuffer(
             cfg.replay_capacity, obs_shape, self.action_dim, seed=int(children[8].generate_state(1)[0])
@@ -219,11 +221,12 @@ class Trainer:
 
     def run(self) -> Path:
         """Train to ``total_env_steps``; returns the final checkpoint path."""
+        self.out_dir.mkdir(parents=True, exist_ok=True)
         self._write_manifest()
         self._flush_metrics()
         cfg = self.cfg
         while self.env_step < min(cfg.total_env_steps, cfg.warmup_transitions * cfg.action_repeat):
-            action = truncated_normal(self.rngs["warmup"], cfg.warmup_policy_std, self.action_dim)
+            action = truncated_normal(self.rngs["warmup"], self.action_dim)
             self._collect(action)
             self._maybe_checkpoint()
         if self.z1 is None and self.env_step < cfg.total_env_steps:
@@ -268,7 +271,7 @@ class Trainer:
         self.buffer.append(self.obs, action, result.reward, result.cost, result.done)
         self.ep_cost += result.cost
         if result.done:
-            if live and self.cfg.constrained:
+            if live:
                 self.lagrange.update(self.ep_cost)
             self.ep_cost = 0.0
             self.obs = self.env.reset()
@@ -381,6 +384,7 @@ class Trainer:
         opt.step()
 
     def _diagnostic_abort(self):
+        self.out_dir.mkdir(parents=True, exist_ok=True)
         self.save(self.out_dir / "diagnostic.ckpt")
 
     # -- evaluation -------------------------------------------------------------------

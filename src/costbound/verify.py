@@ -189,9 +189,8 @@ class _TabularQ:
     def _features(self, z: Tensor, a: Tensor) -> np.ndarray:
         return (z.data[:, :, None] * a.data[:, None, :]).reshape(z.data.shape[0], -1)
 
-    def __call__(self, z: Tensor, a: Tensor, frozen: bool = False) -> Tensor:
-        w = self.w.detach() if frozen else self.w
-        return ad.linear(Tensor(self._features(z, a)), w)
+    def __call__(self, z: Tensor, a: Tensor) -> Tensor:
+        return ad.linear(Tensor(self._features(z, a)), self.w)
 
     def parameters(self):
         return [self.w]

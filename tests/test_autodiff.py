@@ -251,6 +251,27 @@ def test_broadcast_add_backward():
     assert np.allclose(b.grad, 3.0 * np.ones(4))
 
 
+_COLUMN_OPS = {"add": (ad.add, lambda a, b: a + b), "mul": (ad.mul, lambda a, b: a * b)}
+
+
+@pytest.mark.parametrize("name", sorted(_COLUMN_OPS))
+def test_a_column_broadcast_sums_its_gradient_with_kept_dims(name):
+    # a [3,1] operand against a [3,4] one: _unbroadcast sums axis 1 and keeps it
+    op, numpy_op = _COLUMN_OPS[name]
+    rng = np.random.default_rng(16)
+    a_val, b_val, g = rng.normal(size=(3, 1)), rng.normal(size=(3, 4)), rng.normal(size=(3, 4))
+    a, b = Tensor(a_val, requires_grad=True), Tensor(b_val, requires_grad=True)
+    ga, gb = op(a, b)._vjp(g.copy())
+    want_a, want_b = (g, g) if name == "add" else (g * b_val, g * a_val)
+    _assert_bitwise_equal(ga, want_a.sum(axis=1, keepdims=True))
+    _assert_bitwise_equal(gb, want_b)
+    ad.backward((op(a, b) * Tensor(g)).sum())
+    assert a.grad.shape == (3, 1)
+    fd_a = finite_diff_grad(lambda v: float(np.sum(numpy_op(v, b_val) * g)), a_val)
+    fd_b = finite_diff_grad(lambda v: float(np.sum(numpy_op(a_val, v) * g)), b_val)
+    assert grad_rel_error(a.grad, fd_a) <= 1e-6 and grad_rel_error(b.grad, fd_b) <= 1e-6
+
+
 def test_minimum_routes_gradient_to_smaller():
     a = Tensor(np.array([1.0, 5.0]), requires_grad=True)
     b = Tensor(np.array([2.0, 3.0]), requires_grad=True)
@@ -661,16 +682,20 @@ def test_conv_vjps_match_the_reference_bitwise_with_any_operand_frozen(case, nee
     x, w, b = (Tensor(v, requires_grad=True) for v in vals)
     operands = [t if need else (t.detach() if t is w else Tensor(t.data)) for t, need in zip((x, w, b), needs)]
     out = getattr(ad, op)(*operands, **kw)
-    # the vjp itself computes nothing for a frozen operand, which backward would drop anyway
     direct = getattr(ad, op)(*operands, **kw)._vjp(g.copy())
     ad.backward((out * g).sum())  # out's upstream gradient is g, bit for bit
     _assert_bitwise_equal(out.data, ref_out)
     for t, need, got, want in zip((x, w, b), needs, direct, ref_vjp(g)):
-        if need:
+        if need or t is w:
+            # every conv weight is trained, so the vjp always computes the
+            # weight gradient; backward drops it for a detached weight
             _assert_bitwise_equal(got, want)
+        else:
+            assert got is None  # the vjp computes nothing for a frozen input or bias
+        if need:
             _assert_bitwise_equal(t.grad, want)
         else:
-            assert got is None and t.grad is None
+            assert t.grad is None
 
 
 @pytest.mark.parametrize("w_grad", [True, False], ids=["w", "w_frozen"])
@@ -700,14 +725,11 @@ def test_each_conv_vjp_builds_its_window_rows_once(case, w_grad, monkeypatch):
     monkeypatch.setattr(ad, "_windows", counted_whole)
     gx, gw, gb = out._vjp(rng.normal(size=out.shape))
     # conv2d: x's rows for the weight gradient; conv2d_transpose: the output
-    # gradient's rows, read by both the weight and the input gradient, or
-    # gathered one block at a time when the weight is frozen
+    # gradient's rows, read by both the weight and the input gradient; a
+    # detached weight takes the same path
     rows_of = x_shape if op == "conv2d" else out.shape
-    assert builds == ([rows_of] if w_grad or op == "conv2d_transpose" else [])
-    # the whole set of rows only for a weight gradient
-    assert whole == ([rows_of] if w_grad else [])
-    assert gx.shape == x_shape and gb.shape == (len(gb),)
-    assert gw.shape == w_shape if w_grad else gw is None
+    assert builds == whole == [rows_of]
+    assert gx.shape == x_shape and gw.shape == w_shape and gb.shape == (len(gb),)
 
 
 def test_linear_input_without_grad_gets_no_gradient():

@@ -54,15 +54,17 @@ def test_train_resume_refuses_a_config_or_seed_other_than_the_checkpoints(
     args = ["train", "--config", str(tmp_path / "other.cfg"), "--out", str(tmp_path / "resumed"), *flags]
     assert main(args + ["--resume", str(root / "run" / "step_120.ckpt")]) == 2
     assert_one_error_line(capsys, f"the checkpoint's config differs from --config and --seed in {differing}")
-    assert not any((tmp_path / "resumed").glob("*"))
+    assert not (tmp_path / "resumed").exists()
 
 
 def test_evaluate_prints_reward_and_cost(trained, capsys):
     _, root = trained
+    listing = sorted((root / "run").iterdir())
     assert main(["evaluate", "--checkpoint", str(root / "run" / "final.ckpt"), "--episodes", "1"]) == 0
     printed = dict(line.split("=") for line in capsys.readouterr().out.splitlines())
     assert printed.keys() == {"reward_mean", "cost_mean"}
     assert all(np.isfinite(float(value)) for value in printed.values())
+    assert sorted((root / "run").iterdir()) == listing  # evaluation writes nothing
 
 
 @pytest.mark.parametrize("episodes", [0, -1])
@@ -83,8 +85,15 @@ def test_evaluate_of_a_state_version_1_checkpoint_exits_two(trained, tmp_path, c
     assert_one_error_line(capsys, "unsupported trainer state version 1")
 
 
+def as_version_4(meta):
+    # the version-4 config also held the constrained switch and the warmup policy's std
+    meta["state_version"] = 4
+    meta["config"].update(constrained=True, warmup_policy_std=1.0)
+
+
 def as_version_3(meta):
     # the version-3 header also stored the schedule's position beside env_step
+    as_version_4(meta)
     meta.update(state_version=3, phase="main", warmup_model_done=2, eval_next=150, ckpt_next=140)
 
 
@@ -102,7 +111,7 @@ def as_version_2(meta):
     meta["buffer_meta"].update(obs_dtype="uint8", rng=stringify(meta["buffer_meta"]["rng"]))
 
 
-@pytest.mark.parametrize("version, rewrite", [(2, as_version_2), (3, as_version_3)])
+@pytest.mark.parametrize("version, rewrite", [(2, as_version_2), (3, as_version_3), (4, as_version_4)])
 def test_a_checkpoint_of_an_older_state_version_is_refused(trained, tmp_path, capsys, version, rewrite):
     _, root = trained
     meta, arrays = load_checkpoint(root / "run" / "final.ckpt")

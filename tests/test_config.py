@@ -16,7 +16,6 @@ BY_TYPE = {
     "int": st.integers(1, 1000),
     "float": UNIT,
     "float | None": st.none() | st.floats(-1e3, 1e3),
-    "bool": st.booleans(),
     "tuple": st.tuples(st.integers(1, 64), st.integers(1, 64)),
 }
 BY_NAME = {
@@ -59,6 +58,20 @@ def test_missing_lambda_lr_is_rejected(tmp_path):
 @pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.cfg")), ids=lambda p: p.name)
 def test_every_shipped_config_loads(path):
     assert isinstance(load_config(path), TrainConfig)
+
+
+@pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.cfg")), ids=lambda p: p.name)
+def test_every_shipped_config_sets_every_field(path):
+    keys = [line.split("#", 1)[0].split("=", 1)[0].strip() for line in path.read_text().splitlines()]
+    assert sorted(key for key in keys if key) == sorted(f.name for f in dataclasses.fields(TrainConfig))
+
+
+def test_a_key_set_twice_is_rejected_with_both_lines(tmp_path):
+    path = desk_with(tmp_path, "model_lr = 0.001")
+    first = next(i for i, l in enumerate(DESK.read_text().splitlines(), start=1) if l.startswith("model_lr "))
+    last = len(path.read_text().splitlines())
+    with pytest.raises(ValueError, match=f"run.cfg:{last}: config key 'model_lr' is already set on line {first}$"):
+        load_config(path)
 
 
 @pytest.mark.parametrize("line", ["encoder = conv", "env = hazardworld", "dump_frames = false"])

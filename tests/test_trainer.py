@@ -55,6 +55,27 @@ def test_non_finite_critic_leaves_the_diagnostic_checkpoint_as_before_the_step(t
     assert np.isnan(arrays["params/q1/000"]).sum() == 1
 
 
+def test_non_finite_model_loss_leaves_the_model_in_the_diagnostic_checkpoint_as_before_the_step(tmp_path):
+    trainer = cb.Trainer(short_config(total_env_steps=70, checkpoint_interval=0), tmp_path)
+    trainer.run()
+    trainer.model.decoder.deconv2.b.data[0] = np.nan
+    before = {name: arr.copy() for name, arr in trainer._arrays().items()}
+    steps = {name: opt.step_count for name, opt in trainer._optimizers().items()}
+    with pytest.raises(NonFiniteLossError, match="model loss diverged"):
+        trainer._gradient_step()
+    meta, arrays = load_checkpoint(tmp_path / "diagnostic.ckpt")
+    # the reward critics step before the model update, and nothing after it
+    assert (steps["q1"], steps["q2"]) == (5, 5)
+    assert meta["opt_steps"] == {**steps, "q1": 6, "q2": 6}
+    critics = ("params/q1/", "params/q2/", "opt/q1/", "opt/q2/")
+    for key, value in before.items():
+        if key.startswith(critics):
+            continue
+        assert np.array_equal(arrays[key], value, equal_nan=True), key
+    assert not np.array_equal(arrays["params/q1/000"], before["params/q1/000"])
+    assert sum(int(np.isnan(arr).sum()) for key, arr in arrays.items() if key.startswith("params/model/")) == 1
+
+
 SCHEDULES = {
     # intervals that are not multiples of action_repeat (2): each point
     # falls on the first decision past it
