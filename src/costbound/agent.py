@@ -145,10 +145,14 @@ class TemperatureState:
         return float(np.exp(self.log_alpha.data[0]))
 
     def update(self, log_probs: np.ndarray) -> float:
-        self.optimizer.zero_grad()
+        """One Adam step on the temperature loss; the gradient is released
+        after it, as the trainer does for every optimizer."""
         loss = temperature_loss(self.log_alpha, log_probs, self.target_entropy)
-        ad.backward(loss)
-        self.optimizer.step()
+        try:
+            ad.backward(loss)
+            self.optimizer.step()
+        finally:
+            self.optimizer.zero_grad()
         return loss.item()
 
 

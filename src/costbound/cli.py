@@ -21,11 +21,12 @@ def _cmd_train(args) -> int:
     cfg = load_config(args.config, overrides=overrides)
     out_dir = Path(args.out) if args.out else Path("runs") / f"{Path(args.config).stem}_seed{cfg.seed}"
     if args.resume:
-        trainer = Trainer.restore(args.resume, out_dir)
-        stored, asked = trainer.cfg.to_dict(), cfg.to_dict()
+        # compared from the header alone, so a refused resume reads no array
+        stored, asked = Trainer.checkpoint_config(args.resume).to_dict(), cfg.to_dict()
         differing = [f"{key} ({stored[key]!r} vs {asked[key]!r})" for key in asked if stored[key] != asked[key]]
         if differing:
             raise ValueError(f"the checkpoint's config differs from --config and --seed in {', '.join(differing)}")
+        trainer = Trainer.restore(args.resume, out_dir)
     else:
         trainer = Trainer(cfg, out_dir)
     final = trainer.run()

@@ -20,10 +20,15 @@ When the ring is full, the oldest whole episode is dropped before the
 next record is written; the episode currently being written is never
 evicted, so it must fit in ``capacity`` records.
 
-``state`` and ``load_state`` carry the buffer through a checkpoint: a
+``runs`` and ``load_state`` carry the buffer through a checkpoint: a
 plain-JSON meta (episode lengths, open flag, the PCG64 state of the
 sampling generator as numpy reports it) and the five record arrays. The
-stored frames' uint8 dtype is checked against the ring's own arrays.
+live records are at most two contiguous runs of the ring, so ``runs``
+hands out each array as those runs, read-only views in time order, and a
+checkpoint writes them without a copy; ``load_state`` applies the meta
+and returns the ring's first rows, which the reader fills in place.
+``state`` is the same meta with each array joined into a copy of its own,
+for a caller that keeps or compares it: it never aliases the ring.
 """
 
 from __future__ import annotations
@@ -153,32 +158,47 @@ class ReplayBuffer:
 
     # -- serialization (documented layout, used by checkpoints) ----------------
 
-    def state(self):
+    def runs(self):
         """(meta, arrays): the JSON meta holds the live episode lengths, the
-        open flag and the sampling generator's state; the arrays are the
-        live records in chronological order."""
+        open flag and the sampling generator's state; each array is a list
+        of at most two read-only views of the ring that hold the live
+        records in chronological order. They are valid until the next
+        ``append``."""
         lengths = np.diff(self._starts + [self._count]).tolist()
         is_open = lengths[-1] > 0
         if not is_open:
             lengths.pop()
         meta = {"lengths": lengths, "open": is_open, "rng": self._rng.bit_generator.state}
-        rows = np.arange(self._starts[0], self._count) % self.capacity
-        return meta, {name: values[rows] for name, values in self._records.items()}
+        first, n = self._starts[0] % self.capacity, len(self)
+        spans = [(first, min(first + n, self.capacity))]
+        if first + n > self.capacity:
+            spans.append((0, first + n - self.capacity))
+        runs = {}
+        for name, values in self._records.items():
+            runs[name] = [values[start:stop] for start, stop in spans]
+            for run in runs[name]:
+                run.flags.writeable = False
+        return meta, runs
 
-    def load_state(self, meta, arrays):
+    def state(self):
+        """``runs`` with each array joined into a copy that shares no memory
+        with the ring."""
+        meta, runs = self.runs()
+        return meta, {name: np.concatenate(pieces) for name, pieces in runs.items()}
+
+    def load_state(self, meta):
+        """Take the buffer to ``state``'s meta, checked first, and return the
+        ring's first rows, by name, that hold the live records from now on:
+        the caller fills them with ``state``'s arrays before the buffer is
+        read."""
         lengths = [int(n) for n in meta["lengths"]]
         n = sum(lengths)
         if n > self.capacity or any(k < 1 for k in lengths):
             raise ValueError(f"episode lengths {lengths} do not fit a buffer of {self.capacity} records")
-        for name, values in self._records.items():
-            stored, rows = arrays[name], values[:n]
-            if (stored.shape, stored.dtype) != (rows.shape, rows.dtype):
-                raise ValueError(f"{name} is {stored.dtype}{stored.shape}, not {rows.dtype}{rows.shape}")
         # numpy raises ValueError for the state of another bit generator
         self._rng.bit_generator.state = meta["rng"]
-        for name, values in self._records.items():
-            values[:n] = arrays[name]
         self._count = n
         self._starts = np.cumsum([0] + lengths).tolist()
         if meta["open"] and lengths:
             self._starts.pop()
+        return {name: values[:n] for name, values in self._records.items()}

@@ -28,6 +28,14 @@ multiplier, the generators' states, the HazardWorld state and the replay
 buffer's meta. What follows from them is not stored: the warmup decisions
 collected are ``env_step // action_repeat``, and the filter is live once
 ``env_step`` is past the warmup collection.
+
+Memory stays bounded by the live state. A gradient lives from its
+``backward`` to the optimizer step that uses it, and is released even when
+the step is refused. ``save`` writes the replay ring from the ring itself
+(its live records are at most two contiguous runs), and ``restore`` builds
+the trainer from the header, checks it against the header's arrays, and
+then reads each array straight into the live one that it fills, so
+neither side ever holds a second copy of the ring or of the file.
 """
 
 from __future__ import annotations
@@ -49,7 +57,7 @@ from .agent import (
     safety_critic_loss,
 )
 from .autodiff import Tensor
-from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
+from .checkpoint import CheckpointError, load_checkpoint, read_checkpoint_meta, save_checkpoint
 from .config import TrainConfig
 from .envs import ActionRepeat, HazardWorld, HazardWorldConfig
 from .latent import LatentModel, LatentModelConfig, NonFiniteLossError, posterior_noise
@@ -374,14 +382,17 @@ class Trainer:
     def _apply(self, opt: Adam, loss: Tensor):
         """One clipped optimizer step on ``loss``. A non-finite loss or
         gradient norm writes the diagnostic checkpoint and raises before
-        the step, so no NaN reaches the parameters or moments."""
-        opt.zero_grad()
-        ad.backward(loss)
-        norm = clip_grad_norm(opt.params, self.cfg.grad_clip)
-        if not (np.isfinite(loss.data) and np.isfinite(norm)):
-            self._diagnostic_abort()
-            raise NonFiniteLossError(f"non-finite loss {loss.item()!r} or gradient norm {norm!r}")
-        opt.step()
+        the step, so no NaN reaches the parameters or moments. Either way
+        the gradients are released here, so none is held between steps."""
+        try:
+            ad.backward(loss)
+            norm = clip_grad_norm(opt.params, self.cfg.grad_clip)
+            if not (np.isfinite(loss.data) and np.isfinite(norm)):
+                self._diagnostic_abort()
+                raise NonFiniteLossError(f"non-finite loss {loss.item()!r} or gradient norm {norm!r}")
+            opt.step()
+        finally:
+            opt.zero_grad()
 
     def _diagnostic_abort(self):
         self.out_dir.mkdir(parents=True, exist_ok=True)
@@ -477,7 +488,7 @@ class Trainer:
     def _arrays(self) -> dict:
         """Every checkpoint array but the replay buffer's, by name, as the
         live ndarray that holds it: ``save`` writes these and ``restore``
-        fills them in place."""
+        reads into them."""
         arrays = {}
         for group in ("model", "actor", "q1", "q2", "qc", "q1_target", "q2_target", "qc_target"):
             for i, p in enumerate(getattr(self, group).parameters()):
@@ -494,9 +505,8 @@ class Trainer:
 
     def save(self, path) -> Path:
         arrays = self._arrays()
-        buffer_meta, buffer_arrays = self.buffer.state()
-        for name, arr in buffer_arrays.items():
-            arrays[f"buffer/{name}"] = arr
+        buffer_meta, ring = self.buffer.runs()
+        arrays.update({f"buffer/{name}": pieces for name, pieces in ring.items()})
         meta = {name: getattr(self, name) for name in _STATE_FIELDS}
         meta.update({
             "state_version": self.CHECKPOINT_STATE_VERSION,
@@ -510,33 +520,44 @@ class Trainer:
         save_checkpoint(path, meta, arrays)
         return Path(path)
 
+    # A header is checksummed only once the payload after it has been read,
+    # so until then a header that does not describe a trainer is a bad file.
+
     @classmethod
-    def restore(cls, path, out_dir) -> "Trainer":
-        """A trainer built from the checkpoint's config, with every array
-        of the checkpoint copied into the one that it constructed."""
-        meta, arrays = load_checkpoint(path)
+    def _config_of(cls, meta: dict) -> TrainConfig:
         if meta.get("state_version") != cls.CHECKPOINT_STATE_VERSION:
             raise CheckpointError(f"unsupported trainer state version {meta.get('state_version')}")
-        cfg = TrainConfig.from_dict(meta["config"])
-        trainer = cls(cfg, out_dir)
-        if meta["env_step"] > cfg.warmup_transitions * cfg.action_repeat:  # the main phase
-            trainer.z1, trainer.z2 = np.empty(cfg.z1_size), np.empty(cfg.z2_size)
-        table = trainer._arrays()
-        # the empty ring's state() names the buffer's arrays
-        expected = set(table) | {f"buffer/{name}" for name in trainer.buffer.state()[1]}
-        if set(arrays) != expected:
-            missing, extra = sorted(expected - set(arrays)), sorted(set(arrays) - expected)
-            raise CheckpointError(f"checkpoint arrays missing {missing}, unexpected {extra}")
-        for name, live in table.items():
-            stored = arrays[name]
-            if (stored.shape, stored.dtype) != (live.shape, live.dtype):
-                raise CheckpointError(f"{name} is {stored.dtype}{stored.shape}, not {live.dtype}{live.shape}")
-            live[...] = stored
-        buffer = {name.split("/", 1)[1]: arr for name, arr in arrays.items() if name.startswith("buffer/")}
         try:
-            trainer.buffer.load_state(meta["buffer_meta"], buffer)
-        except ValueError as err:
-            raise CheckpointError(f"replay buffer: {err}") from err
+            return TrainConfig.from_dict(meta["config"])
+        except (KeyError, TypeError, ValueError) as err:
+            raise CheckpointError(f"the checkpoint's config is not a TrainConfig: {err!r}") from err
+
+    @classmethod
+    def checkpoint_config(cls, path) -> TrainConfig:
+        """The config of the run that wrote ``path``, from the header alone:
+        no array is read, and the file is not checksummed."""
+        return cls._config_of(read_checkpoint_meta(path))
+
+    @classmethod
+    def restore(cls, path, out_dir) -> "Trainer":
+        """A trainer built from the checkpoint's header, with every array of
+        the checkpoint read straight into the one that it constructed. The
+        trainer is checked against the header's arrays before any of them
+        is read, and handed back only once the digest matches."""
+        # one open file, so the header that built the trainer is the one read
+        with open(path, "rb") as fh:
+            meta = read_checkpoint_meta(fh)
+            cfg = cls._config_of(meta)
+            try:
+                trainer = cls(cfg, out_dir)
+                if meta["env_step"] > cfg.warmup_transitions * cfg.action_repeat:  # the main phase
+                    trainer.z1, trainer.z2 = np.empty(cfg.z1_size), np.empty(cfg.z2_size)
+                table = trainer._arrays()
+                ring = trainer.buffer.load_state(meta["buffer_meta"])
+            except (KeyError, TypeError, ValueError) as err:
+                raise CheckpointError(f"the checkpoint's header does not describe a trainer: {err!r}") from err
+            table.update({f"buffer/{name}": rows for name, rows in ring.items()})
+            load_checkpoint(fh, table)
         for name, opt in trainer._optimizers().items():
             opt.step_count = meta["opt_steps"][name]
         trainer.lagrange.lam = meta["lagrange_lam"]

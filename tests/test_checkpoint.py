@@ -105,3 +105,47 @@ def test_load_rejects_a_flipped_bit(tmp_path, where):
     (tmp_path / "a.ckpt").write_bytes(bytes(data))
     with pytest.raises(CheckpointError):
         load_checkpoint(tmp_path / "a.ckpt")
+
+
+def test_an_array_given_as_pieces_is_written_as_their_concatenation(tmp_path):
+    pieces = [np.arange(6.0).reshape(3, 2), np.arange(6.0, 8.0).reshape(1, 2), np.zeros((0, 2))]
+    save_checkpoint(tmp_path / "pieces.ckpt", {"n": 1}, {"a": pieces, "b": np.arange(3)})
+    save_checkpoint(tmp_path / "joined.ckpt", {"n": 1}, {"a": np.concatenate(pieces), "b": np.arange(3)})
+    assert (tmp_path / "pieces.ckpt").read_bytes() == (tmp_path / "joined.ckpt").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "pieces", [[np.zeros((2, 3)), np.zeros((1, 2))], [np.zeros(2), np.zeros(2, dtype=np.uint8)]],
+    ids=["trailing shape", "dtype"],
+)
+def test_pieces_that_do_not_join_are_refused(tmp_path, pieces):
+    with pytest.raises(CheckpointError):
+        save_checkpoint(tmp_path / "a.ckpt", {}, {"a": pieces})
+    assert not (tmp_path / "a.ckpt").exists()
+
+
+def test_load_reads_each_array_into_the_one_it_is_given(tmp_path):
+    into = {"f": np.empty((2, 3)), "u": np.empty(4, dtype=np.uint8)}
+    meta, arrays = load_checkpoint(small_checkpoint(tmp_path / "a.ckpt"), into)
+    assert meta == {"step": 7}
+    assert arrays.keys() == into.keys() and all(arrays[name] is into[name] for name in into)
+    assert np.array_equal(into["f"], np.arange(6.0).reshape(2, 3)) and np.array_equal(into["u"], np.arange(4))
+    assert into["f"].flags.writeable
+
+
+BAD_DESTINATIONS = {
+    "one destination too few": ({"f": np.empty((2, 3))}, "missing \\[\\], unexpected \\['u'\\]"),
+    "one destination too many": ({"f": np.empty((2, 3)), "u": np.empty(4, np.uint8), "x": np.empty(1)}, "missing \\['x'\\]"),
+    "shape": ({"f": np.empty((3, 2)), "u": np.empty(4, np.uint8)}, "f is float64\\(2, 3\\), not float64\\(3, 2\\)"),
+    "dtype": ({"f": np.empty((2, 3)), "u": np.empty(4)}, "u is uint8\\(4,\\), not float64\\(4,\\)"),
+}
+
+
+@pytest.mark.parametrize("into, message", BAD_DESTINATIONS.values(), ids=BAD_DESTINATIONS.keys())
+def test_load_refuses_destinations_unlike_the_header_before_it_reads_the_payload(tmp_path, into, message):
+    # a flipped payload byte would fail the digest, had the payload been read
+    data = bytearray(small_checkpoint(tmp_path / "a.ckpt").read_bytes())
+    data[-40] ^= 0x10
+    (tmp_path / "a.ckpt").write_bytes(bytes(data))
+    with pytest.raises(CheckpointError, match=message):
+        load_checkpoint(tmp_path / "a.ckpt", into)

@@ -57,6 +57,20 @@ def test_train_resume_refuses_a_config_or_seed_other_than_the_checkpoints(
     assert not (tmp_path / "resumed").exists()
 
 
+def test_a_refused_resume_reads_no_array(trained, tmp_path, capsys):
+    # a payload byte flipped: only reading the arrays would find it
+    _, root = trained
+    data = bytearray((root / "run" / "step_120.ckpt").read_bytes())
+    data[-100] ^= 0x01
+    (tmp_path / "flipped.ckpt").write_bytes(bytes(data))
+    with pytest.raises(CheckpointError, match="checksum"):
+        Trainer.restore(tmp_path / "flipped.ckpt", tmp_path / "restored")
+    args = ["train", "--config", str(root / "short.cfg"), "--seed", "9", "--out", str(tmp_path / "resumed")]
+    assert main(args + ["--resume", str(tmp_path / "flipped.ckpt")]) == 2
+    assert_one_error_line(capsys, "the checkpoint's config differs from --config and --seed in seed (4 vs 9)")
+    assert not (tmp_path / "resumed").exists()
+
+
 def test_evaluate_prints_reward_and_cost(trained, capsys):
     _, root = trained
     listing = sorted((root / "run").iterdir())

@@ -1,5 +1,6 @@
 import json
 import struct
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -40,6 +41,21 @@ def test_resume_from_any_checkpoint_reproduces_the_run(tmp_path):
         assert restored.metrics_path.read_text() == metrics
 
 
+def assert_no_parameter_holds_a_gradient(trainer):
+    for name, opt in trainer._optimizers().items():
+        assert [i for i, p in enumerate(opt.params) if p.grad is not None] == [], name
+
+
+def test_no_gradient_outlives_the_optimizer_step_that_uses_it(tmp_path):
+    trainer = cb.Trainer(short_config(total_env_steps=70, checkpoint_interval=0), tmp_path)
+    trainer.run()
+    steps = {name: opt.step_count for name, opt in trainer._optimizers().items()}
+    trainer._gradient_step()
+    assert {name: opt.step_count - steps[name] for name, opt in trainer._optimizers().items()} == dict.fromkeys(steps, 1)
+    assert trainer.temperature.optimizer.params == [trainer.temperature.log_alpha]
+    assert_no_parameter_holds_a_gradient(trainer)
+
+
 def test_non_finite_critic_leaves_the_diagnostic_checkpoint_as_before_the_step(tmp_path):
     trainer = cb.Trainer(short_config(total_env_steps=70, checkpoint_interval=0), tmp_path)
     trainer.run()
@@ -48,6 +64,7 @@ def test_non_finite_critic_leaves_the_diagnostic_checkpoint_as_before_the_step(t
     steps = {name: opt.step_count for name, opt in trainer._optimizers().items()}
     with pytest.raises(NonFiniteLossError):
         trainer._gradient_step()
+    assert_no_parameter_holds_a_gradient(trainer)
     meta, arrays = load_checkpoint(tmp_path / "diagnostic.ckpt")
     assert meta["opt_steps"] == steps
     for key, value in before.items():
@@ -166,31 +183,122 @@ def test_restore_fills_the_constructed_trainer_and_saves_the_same_bytes(main_pha
     assert restored.save(tmp_path / "again.ckpt").read_bytes() == main_phase_checkpoint.read_bytes()
 
 
-def test_training_after_restore_writes_nothing_through_the_checkpoint_views(main_phase_checkpoint, tmp_path, monkeypatch):
+def test_restore_reads_into_writeable_arrays_that_own_their_memory_and_share_none(
+    main_phase_checkpoint, tmp_path, monkeypatch
+):
     loaded = []
 
-    def recording_load(path):
-        meta, arrays = load_checkpoint(path)
+    def recording_load(path, into=None):
+        meta, arrays = load_checkpoint(path, into)
         loaded.append(arrays)
         return meta, arrays
 
     monkeypatch.setattr("costbound.trainer.load_checkpoint", recording_load)
     restored = cb.Trainer.restore(main_phase_checkpoint, tmp_path)
-    (views,) = loaded
-    assert not any(view.flags.writeable for view in views.values())
-    before = {name: view.copy() for name, view in views.items()}
+    (arrays,) = loaded
+    ring = restored.buffer._records
+    live = {**restored._arrays(), **{f"buffer/{name}": ring[name][: len(restored.buffer)] for name in ring}}
+    assert arrays.keys() == live.keys()
+    for name, arr in arrays.items():
+        # each array was read into the live one it fills: the trainer's own,
+        # or the ring's first rows
+        assert arr.flags.writeable and np.shares_memory(arr, live[name]), name
+        owner = ring[name.split("/", 1)[1]] if name.startswith("buffer/") else arr
+        assert owner.flags.owndata, name
+    names = sorted(arrays)
+    for i, first in enumerate(names):
+        for second in names[i + 1 :]:
+            assert not np.may_share_memory(arrays[first], arrays[second]), (first, second)
     for _ in range(3):
         restored._collect(restored._policy_action())
         restored._gradient_step()
-    live = {
-        **restored._arrays(),
-        **{f"buffer.state()/{name}": arr for name, arr in restored.buffer.state()[1].items()},
-        **{f"ring/{name}": arr for name, arr in restored.buffer._records.items()},
-    }
-    for name, view in views.items():
-        assert np.array_equal(view, before[name]), name
-        for live_name, arr in live.items():
-            assert not np.shares_memory(arr, view), (live_name, name)
+
+
+@pytest.fixture(scope="module")
+def wrapped_run(tmp_path_factory):
+    """A trainer after warmup collection alone whose 200-record ring of
+    64x64 frames wrapped: its live records are two runs of the ring."""
+    cfg = short_config(view_size=64, replay_capacity=200, warmup_transitions=260, total_env_steps=520,
+                       checkpoint_interval=0)
+    trainer = cb.Trainer(cfg, tmp_path_factory.mktemp("wrapped"))
+    trainer.run()
+    assert [len(run) for run in trainer.buffer.runs()[1]["obs"]] == [140, 60]
+    return trainer
+
+
+def traced_peak(fn, *args):
+    """(result, peak bytes that tracemalloc saw allocated during the call)."""
+    tracemalloc.start()
+    try:
+        return fn(*args), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_save_writes_the_wrapped_ring_without_copying_it(wrapped_run, tmp_path):
+    frames = sum(run.nbytes for run in wrapped_run.buffer.runs()[1]["obs"])
+    path, peak = traced_peak(wrapped_run.save, tmp_path / "streamed.ckpt")
+    assert peak < frames / 4, (peak, frames)
+    # the same bytes as a save of state()'s joined copies
+    meta, _ = load_checkpoint(path)
+    buffer_meta, buffer_arrays = wrapped_run.buffer.state()
+    assert meta["buffer_meta"] == buffer_meta
+    arrays = {**wrapped_run._arrays(), **{f"buffer/{name}": arr for name, arr in buffer_arrays.items()}}
+    save_checkpoint(tmp_path / "joined.ckpt", meta, arrays)
+    assert path.read_bytes() == (tmp_path / "joined.ckpt").read_bytes()
+
+
+def test_restore_allocates_only_the_trainers_own_arrays(wrapped_run, tmp_path):
+    path = wrapped_run.save(tmp_path / "a.ckpt")
+    restored, peak = traced_peak(cb.Trainer.restore, path, tmp_path / "out")
+    own = sum(arr.nbytes for arr in restored._arrays().values())
+    own += sum(arr.nbytes for arr in restored.buffer._records.values())
+    assert path.stat().st_size > 10 * 2**20  # a copy of the file would not fit the margin below
+    assert peak < own + 2**20, (peak, own)
+    assert restored.save(tmp_path / "b.ckpt").read_bytes() == path.read_bytes()
+
+
+def ring_payload(path):
+    """(start, end) byte offsets of the stored frames in a checkpoint file."""
+    data = path.read_bytes()
+    (header_len,) = struct.unpack_from("<Q", data, len(MAGIC) + 4)
+    header = json.loads(data[len(MAGIC) + 12 : len(MAGIC) + 12 + header_len])
+    (entry,) = [e for e in header["arrays"] if e["name"] == "buffer/obs"]
+    start = len(MAGIC) + 12 + header_len + entry["offset"]
+    return start, start + int(np.prod(entry["shape"]))
+
+
+HEADER_EDITS = {
+    # each keeps the header parseable JSON; the digest would catch it, but only after the payload
+    "a meta key": (b'"env_step":', b'"env_stop":'),
+    "a config key": (b'"hazard_count":', b'"hazard_kount":'),
+    "a config value": (b'"replay_capacity":50,', b'"replay_capacity":-5,'),
+    "the buffer meta": (b'"lengths":', b'"lengthz":'),
+}
+
+
+@pytest.mark.parametrize("old, new", HEADER_EDITS.values(), ids=HEADER_EDITS.keys())
+def test_restore_refuses_a_header_that_no_longer_describes_a_trainer(main_phase_checkpoint, tmp_path, old, new):
+    data = main_phase_checkpoint.read_bytes()
+    assert data.count(old) == 1 and len(old) == len(new)
+    (tmp_path / "bad.ckpt").write_bytes(data.replace(old, new))
+    with pytest.raises(CheckpointError):
+        cb.Trainer.restore(tmp_path / "bad.ckpt", tmp_path / "out")
+
+
+@pytest.mark.parametrize("damage", ["flipped byte", "cut short"])
+def test_restore_refuses_a_ring_payload_that_is_damaged(wrapped_run, tmp_path, damage):
+    path = wrapped_run.save(tmp_path / "a.ckpt")
+    start, end = ring_payload(path)
+    data = bytearray(path.read_bytes())
+    middle = (start + end) // 2
+    if damage == "flipped byte":
+        data[middle] ^= 0x01
+    else:
+        del data[middle:]
+    path.write_bytes(bytes(data))
+    with pytest.raises(CheckpointError, match="checksum" if damage == "flipped byte" else "truncated"):
+        cb.Trainer.restore(path, tmp_path / "out")
 
 
 MISMATCHES = {
