@@ -90,7 +90,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_eval = sub.add_parser("evaluate", help="evaluate a checkpoint's deterministic policy")
     p_eval.add_argument("--checkpoint", required=True)
-    p_eval.add_argument("--episodes", type=int, default=10)
+    p_eval.add_argument("--episodes", type=int, default=None, help="default: the checkpoint's eval_episodes")
     p_eval.set_defaults(func=_cmd_evaluate)
 
     p_grad = sub.add_parser("gradcheck", help="finite-difference check of every loss")

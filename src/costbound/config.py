@@ -1,13 +1,13 @@
 """Training configuration and the flat key-value config file format.
 
 Files hold one ``key = value`` pair per line; ``#`` starts a comment.
-Keys mirror TrainConfig fields exactly; any other key, and a key set
-twice, is rejected. The shipped files set every field.
+Keys mirror TrainConfig fields exactly. The files are the only statement
+of a setting: TrainConfig has no defaults, so a file sets every field, and
+a missing key, an unknown key and a key set twice are all rejected.
 Every run trains on HazardWorld frames with the convolutional pixel
-encoder, so no key names the environment or the encoder. ``lambda_lr`` has
-no default on purpose: the right value is strongly problem-dependent, so
-every config file must set it explicitly. An unconstrained run is one whose
-Lagrange multiplier stays at zero: ``init_lambda = 0`` and ``lambda_lr = 0``.
+encoder, so no key names the environment or the encoder. An unconstrained
+run is one whose Lagrange multiplier stays at zero: ``init_lambda = 0`` and
+``lambda_lr = 0``.
 """
 
 from __future__ import annotations
@@ -21,66 +21,63 @@ from pathlib import Path
 @dataclass
 class TrainConfig:
     # environment: HazardWorld
-    action_repeat: int = 2
-    view_size: int = 16
-    view_extent: float = 8.0
-    arena_size: float = 10.0
-    hazard_count: int = 5
-    hazard_radius: float = 1.0
-    goal_radius: float = 0.8
-    goal_bonus: float = 1.0
-    shaping_scale: float = 1.0
-    agent_speed: float = 0.5
-    spawn_clearance: float = 1.5
-    episode_limit: int = 100          # agent decisions per episode (wrapped steps)
+    action_repeat: int
+    view_size: int
+    view_extent: float
+    arena_size: float
+    hazard_count: int
+    hazard_radius: float
+    goal_radius: float
+    goal_bonus: float
+    shaping_scale: float
+    agent_speed: float
+    spawn_clearance: float
+    episode_limit: int  # agent decisions per episode (wrapped steps)
 
     # latent model
-    z1_size: int = 32
-    z2_size: int = 200
-    feature_size: int = 64
-    model_hidden: int = 256
-    conv_channels: tuple = (16, 32)
-    recon_std: float = 0.4
+    z1_size: int
+    z2_size: int
+    feature_size: int
+    model_hidden: int
+    conv_channels: tuple
+    recon_std: float
 
     # actor-critic
-    ac_hidden: int = 256
-    init_alpha: float = 4e-3
-    init_lambda: float = 2e-2
-    target_entropy: float | None = None  # None: -action_dim
+    ac_hidden: int
+    init_alpha: float
+    init_lambda: float
 
     # replay
-    replay_capacity: int = 200_000
-    sequence_length: int = 10
+    replay_capacity: int
+    sequence_length: int
 
     # optimization
-    model_batch: int = 32
-    ac_batch: int = 64
-    model_lr: float = 1e-4
-    ac_lr: float = 2e-4
-    lambda_lr: float | None = None       # required, no trusted default
-    gamma: float = 0.99
-    cost_gamma: float = 0.995
-    target_ema: float = 5e-3
-    grad_clip: float = 40.0
+    model_batch: int
+    ac_batch: int
+    model_lr: float
+    ac_lr: float
+    lambda_lr: float
+    gamma: float
+    cost_gamma: float
+    target_ema: float
+    grad_clip: float
 
     # schedule
-    warmup_transitions: int = 60_000     # wrapped transitions stored before training
-    warmup_model_steps: int = 30_000
-    total_env_steps: int = 1_000_000     # base environment steps
-    grad_steps_per_env_step: float = 1.0
+    warmup_transitions: int  # wrapped transitions stored before training
+    warmup_model_steps: int
+    total_env_steps: int  # base environment steps
+    grad_steps_per_env_step: float
 
     # constraint; an unconstrained run is init_lambda = 0, lambda_lr = 0
-    cost_budget: float = 25.0
+    cost_budget: float
 
     # evaluation and output
-    eval_interval: int = 1000            # base environment steps
-    eval_episodes: int = 10
-    checkpoint_interval: int = 0         # base env steps; 0 = final only
-    seed: int = 0
+    eval_interval: int  # base environment steps
+    eval_episodes: int
+    checkpoint_interval: int  # base env steps; 0 = final only
+    seed: int
 
     def validate(self):
-        if self.lambda_lr is None:
-            raise ValueError("lambda_lr must be set explicitly (no trusted default)")
         for f in dataclasses.fields(self):
             value = getattr(self, f.name)
             if isinstance(value, float) and math.isnan(value):
@@ -105,8 +102,11 @@ class TrainConfig:
         base_episode = self.episode_limit * self.action_repeat
         if base_episode > self.replay_capacity:
             raise ValueError("replay_capacity must hold at least one full episode")
-        if len(self.conv_channels) != 2:
-            raise ValueError("conv_channels must list two channel counts")
+        if self.sequence_length >= self.episode_limit:
+            # an episode holds episode_limit records, a window sequence_length + 1
+            raise ValueError("sequence_length must be below episode_limit")
+        if len(self.conv_channels) != 2 or min(self.conv_channels) < 1:
+            raise ValueError("conv_channels must list two positive channel counts")
 
     def to_dict(self) -> dict:
         out = dataclasses.asdict(self)
@@ -115,31 +115,20 @@ class TrainConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "TrainConfig":
-        kw = dict(d)
-        if "conv_channels" in kw:
-            kw["conv_channels"] = tuple(int(c) for c in kw["conv_channels"])
-        unknown = set(kw) - {f.name for f in dataclasses.fields(cls)}
-        if unknown:
-            raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        return cls(**kw)
+        names, keys = {f.name for f in dataclasses.fields(cls)}, set(d)
+        if keys - names:
+            raise ValueError(f"unknown config keys: {sorted(keys - names)}")
+        if names - keys:
+            raise ValueError(f"missing config keys: {sorted(names - keys)}")
+        return cls(**{**d, "conv_channels": tuple(int(c) for c in d["conv_channels"])})
 
 
-def _parse_value(field: dataclasses.Field, raw: str):
-    raw = raw.strip()
-    ftype = field.type
-    if ftype == "float | None":
-        if raw.lower() == "none":
-            return None
-        return float(raw)
-    if ftype == "int":
-        return int(raw)
-    if ftype == "float":
-        return float(raw)
-    return tuple(int(part) for part in raw.split(","))  # the one tuple field, conv_channels
+# by field type; the one tuple field is conv_channels
+_PARSERS = {"int": int, "float": float, "tuple": lambda raw: tuple(int(part) for part in raw.split(","))}
 
 
 def load_config(path, overrides: dict | None = None) -> TrainConfig:
-    fields = {f.name: f for f in dataclasses.fields(TrainConfig)}
+    parsers = {f.name: _PARSERS[f.type] for f in dataclasses.fields(TrainConfig)}
     values: dict = {}
     set_at: dict = {}
     for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
@@ -149,15 +138,15 @@ def load_config(path, overrides: dict | None = None) -> TrainConfig:
         if "=" not in stripped:
             raise ValueError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
         key, raw = (part.strip() for part in stripped.split("=", 1))
-        if key not in fields:
+        if key not in parsers:
             raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
         if key in set_at:
             raise ValueError(f"{path}:{lineno}: config key {key!r} is already set on line {set_at[key]}")
         set_at[key] = lineno
-        values[key] = _parse_value(fields[key], raw)
+        values[key] = parsers[key](raw)
     if overrides:
         values.update(overrides)
-    cfg = TrainConfig(**values)
+    cfg = TrainConfig.from_dict(values)
     cfg.validate()
     return cfg
 
@@ -168,7 +157,5 @@ def save_config(cfg: TrainConfig, path):
         value = getattr(cfg, f.name)
         if isinstance(value, tuple):
             value = ",".join(str(v) for v in value)
-        elif value is None:
-            value = "none"
         lines.append(f"{f.name} = {value}")
     Path(path).write_text("\n".join(lines) + "\n")

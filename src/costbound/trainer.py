@@ -100,13 +100,14 @@ def truncated_normal(rng: np.random.Generator, size) -> np.ndarray:
         out[bad] = rng.standard_normal(int(bad.sum()))
 
 
-def normalized_metrics(run_rows: np.ndarray, reference_rows: np.ndarray, window: int = 5) -> dict:
+def normalized_metrics(run_rows: np.ndarray, reference_rows: np.ndarray, window: int) -> dict:
     """Reward/cost of a run divided by an unconstrained reference run.
 
     Both inputs are metrics tables [N, >=3] with columns (step, reward,
     cost, ...). Uses the mean of the last ``window`` evaluation rows of
-    each table; raises on a window below 1, on a table without rows and on
-    a zero reference divisor.
+    each table, or of as many as the shorter table holds, and returns that
+    count as ``window``; raises on a window below 1, on a table without
+    rows and on a zero reference divisor.
     """
     if window < 1:
         raise ValueError(f"window must be at least 1, got {window}")
@@ -114,6 +115,7 @@ def normalized_metrics(run_rows: np.ndarray, reference_rows: np.ndarray, window:
         raise ValueError("metrics tables must be 2-D")
     if len(run_rows) == 0 or len(reference_rows) == 0:
         raise ValueError("metrics table has no evaluation rows")
+    window = min(window, len(run_rows), len(reference_rows))
     run_tail = run_rows[-window:]
     ref_tail = reference_rows[-window:]
     ref_reward = float(ref_tail[:, 1].mean())
@@ -123,7 +125,7 @@ def normalized_metrics(run_rows: np.ndarray, reference_rows: np.ndarray, window:
     return {
         "normalized_reward": float(run_tail[:, 1].mean()) / ref_reward,
         "normalized_cost": float(run_tail[:, 2].mean()) / ref_cost,
-        "window": int(min(window, len(run_rows), len(reference_rows))),
+        "window": window,
     }
 
 
@@ -141,7 +143,7 @@ class Trainer:
     """Building or restoring a trainer writes nothing: ``out_dir`` is made
     when ``run`` or a diagnostic abort first writes into it."""
 
-    CHECKPOINT_STATE_VERSION = 5
+    CHECKPOINT_STATE_VERSION = 6
 
     def __init__(self, cfg: TrainConfig, out_dir):
         cfg.validate()
@@ -195,10 +197,8 @@ class Trainer:
         self.opt_q2 = Adam(self.q2.parameters(), lr=cfg.ac_lr)
         self.opt_qc = Adam(self.qc.parameters(), lr=cfg.ac_lr)
 
-        target_entropy = cfg.target_entropy
-        if target_entropy is None:
-            target_entropy = -float(self.action_dim)
-        self.temperature = TemperatureState(cfg.init_alpha, target_entropy, lr=cfg.ac_lr)
+        # SAC's target entropy heuristic: -|A|
+        self.temperature = TemperatureState(cfg.init_alpha, -float(self.action_dim), lr=cfg.ac_lr)
         self.lagrange = LagrangeState(cfg.init_lambda, lr=cfg.lambda_lr, budget=cfg.cost_budget)
 
         self.buffer = ReplayBuffer(

@@ -72,7 +72,7 @@ def _fd_module(loss_fn, params, h=1e-6) -> float:
     return worst
 
 
-def run_gradient_suite(seed: int = 0) -> dict:
+def run_gradient_suite(seed: int) -> dict:
     """Finite-difference check of every loss on a tiny conv-pixel model.
 
     Returns per-loss worst relative errors and the elapsed wall time.
@@ -273,7 +273,7 @@ def fitted_safety_critic_error(
     return float(np.max(np.abs(fitted - q_oracle))), fitted, q_oracle
 
 
-def run_tabular_suite(seed: int = 0) -> dict:
+def run_tabular_suite(seed: int) -> dict:
     """Cross-checks between exact policy evaluation, Monte-Carlo rollouts,
     and closed forms. Returns a dict of named (value, reference, pass)
     triples of a float, a float and a bool."""

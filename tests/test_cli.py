@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -57,6 +58,23 @@ def test_train_resume_refuses_a_config_or_seed_other_than_the_checkpoints(
     assert not (tmp_path / "resumed").exists()
 
 
+REFUSED_CONFIGS = {
+    "a key missing": (("view_size",), {}, "missing config keys: ['view_size']"),
+    "keys missing": (("view_size", "seed", "lambda_lr"), {}, "missing config keys: ['lambda_lr', 'seed', 'view_size']"),
+    "a window longer than an episode": ((), {"sequence_length": 20}, "sequence_length must be below episode_limit"),
+}
+
+
+@pytest.mark.parametrize("drop, changes, message", REFUSED_CONFIGS.values(), ids=REFUSED_CONFIGS.keys())
+def test_train_refuses_a_config_that_is_not_whole_or_not_valid(tmp_path, capsys, drop, changes, message):
+    save_config(dataclasses.replace(short_config(), **changes), tmp_path / "short.cfg")
+    lines = (tmp_path / "short.cfg").read_text().splitlines()
+    (tmp_path / "short.cfg").write_text("".join(f"{l}\n" for l in lines if l.split(" = ")[0] not in drop))
+    assert main(["train", "--config", str(tmp_path / "short.cfg"), "--out", str(tmp_path / "run")]) == 2
+    assert_one_error_line(capsys, message)
+    assert not (tmp_path / "run").exists()
+
+
 def test_a_refused_resume_reads_no_array(trained, tmp_path, capsys):
     # a payload byte flipped: only reading the arrays would find it
     _, root = trained
@@ -81,6 +99,25 @@ def test_evaluate_prints_reward_and_cost(trained, capsys):
     assert sorted((root / "run").iterdir()) == listing  # evaluation writes nothing
 
 
+def test_evaluate_without_episodes_runs_the_checkpoints_eval_episodes(trained, monkeypatch, capsys):
+    _, root = trained
+    checkpoint = str(root / "run" / "final.ckpt")
+    assert main(["evaluate", "--checkpoint", checkpoint, "--episodes", "1"]) == 0
+    one = capsys.readouterr().out
+    resets = []
+    evaluate = Trainer.evaluate
+
+    def counting(self, episodes=None):
+        reset = self.eval_env.reset
+        self.eval_env.reset = lambda seed=None: resets.append(seed) or reset(seed=seed)
+        return evaluate(self, episodes)
+
+    monkeypatch.setattr(Trainer, "evaluate", counting)
+    assert main(["evaluate", "--checkpoint", checkpoint]) == 0
+    assert len(resets) == Trainer.checkpoint_config(checkpoint).eval_episodes == 1
+    assert capsys.readouterr().out == one
+
+
 @pytest.mark.parametrize("episodes", [0, -1])
 def test_evaluate_of_fewer_than_one_episode_exits_two(trained, capsys, episodes):
     _, root = trained
@@ -99,8 +136,15 @@ def test_evaluate_of_a_state_version_1_checkpoint_exits_two(trained, tmp_path, c
     assert_one_error_line(capsys, "unsupported trainer state version 1")
 
 
+def as_version_5(meta):
+    # the version-5 config also held the entropy target, always none
+    meta["state_version"] = 5
+    meta["config"]["target_entropy"] = None
+
+
 def as_version_4(meta):
     # the version-4 config also held the constrained switch and the warmup policy's std
+    as_version_5(meta)
     meta["state_version"] = 4
     meta["config"].update(constrained=True, warmup_policy_std=1.0)
 
@@ -125,7 +169,9 @@ def as_version_2(meta):
     meta["buffer_meta"].update(obs_dtype="uint8", rng=stringify(meta["buffer_meta"]["rng"]))
 
 
-@pytest.mark.parametrize("version, rewrite", [(2, as_version_2), (3, as_version_3), (4, as_version_4)])
+@pytest.mark.parametrize(
+    "version, rewrite", [(2, as_version_2), (3, as_version_3), (4, as_version_4), (5, as_version_5)]
+)
 def test_a_checkpoint_of_an_older_state_version_is_refused(trained, tmp_path, capsys, version, rewrite):
     _, root = trained
     meta, arrays = load_checkpoint(root / "run" / "final.ckpt")
@@ -138,7 +184,10 @@ def test_a_checkpoint_of_an_older_state_version_is_refused(trained, tmp_path, ca
 
 
 def write_metrics(path, reward, cost, steps=(100, 200)):
-    rows = [",".join(map(str, [step, reward, cost] + [0.0] * 7)) for step in steps]
+    """A metrics file of one row per step; ``reward`` and ``cost`` are a
+    value for every row or a value per row."""
+    rewards, costs = np.broadcast_to(reward, len(steps)), np.broadcast_to(cost, len(steps))
+    rows = [",".join(map(str, [step, r, c] + [0.0] * 7)) for step, r, c in zip(steps, rewards, costs)]
     path.write_text("\n".join([METRICS_HEADER] + rows) + "\n")
     return str(path)
 
@@ -156,6 +205,16 @@ def test_normalize_prints_its_json(tmp_path, capsys):
     assert printed == {"normalized_reward": 0.5, "normalized_cost": 0.25, "window": 2}
 
 
+def test_normalize_compares_the_tails_of_the_window_that_it_reports(tmp_path, capsys):
+    # two run rows against five reference rows, whose last two differ from all five
+    run = write_metrics(tmp_path / "run.csv", 2.0, 1.0)
+    steps = (100, 200, 300, 400, 500)
+    reference = write_metrics(tmp_path / "reference.csv", [1.0, 1.0, 1.0, 4.0, 4.0], [1.0, 1.0, 1.0, 2.0, 2.0], steps)
+    assert main(["normalize", "--run", run, "--reference", reference, "--window", "5"]) == 0
+    printed = json.loads(capsys.readouterr().out)
+    assert printed == {"normalized_reward": 0.5, "normalized_cost": 0.5, "window": 2}
+
+
 @pytest.mark.parametrize("window", [0, -1])
 def test_normalize_rejects_a_window_below_one(tmp_path, capsys, window):
     run = write_metrics(tmp_path / "run.csv", 2.0, 1.0)
@@ -171,7 +230,7 @@ def test_normalize_rejects_a_metrics_file_without_rows(tmp_path, capsys, empty):
     paths = {name: write_metrics(tmp_path / f"{name}.csv", 2.0, 1.0) for name in ("run", "reference")}
     paths[empty] = write_metrics(tmp_path / f"{empty}.csv", 2.0, 1.0, steps=())
     with pytest.raises(ValueError, match="no evaluation rows"):
-        normalized_metrics(load_metrics(paths["run"]), load_metrics(paths["reference"]))
+        normalized_metrics(load_metrics(paths["run"]), load_metrics(paths["reference"]), window=5)
     assert main(["normalize", "--run", paths["run"], "--reference", paths["reference"]]) == 2
     assert_one_error_line(capsys, "metrics table has no evaluation rows")
 

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import struct
 import tracemalloc
@@ -155,6 +156,21 @@ def test_the_header_is_plain_json_with_each_fact_once(main_phase_checkpoint):
         "env_step", "grad_accum", "ep_cost", "metrics_rows", "loss_sums", "loss_counts",
         "state_version", "config", "lagrange_lam", "opt_steps", "rngs", "env_state", "buffer_meta",
     ])
+
+
+def test_the_temperature_targets_minus_the_action_dimension(main_phase_checkpoint, tmp_path):
+    restored = cb.Trainer.restore(main_phase_checkpoint, tmp_path)
+    assert restored.temperature.target_entropy == -2.0 == -restored.action_dim
+    assert "target_entropy" not in {f.name for f in dataclasses.fields(cb.TrainConfig)}
+
+
+def test_restore_refuses_a_header_config_with_a_key_missing(main_phase_checkpoint, tmp_path):
+    # desk.cfg's view_size, so a default filling the gap would build the same trainer
+    meta, arrays = load_checkpoint(main_phase_checkpoint)
+    assert meta["config"].pop("view_size") == 16
+    save_checkpoint(tmp_path / "bad.ckpt", meta, arrays)
+    with pytest.raises(CheckpointError, match=r"missing config keys: \['view_size'\]"):
+        cb.Trainer.restore(tmp_path / "bad.ckpt", tmp_path / "out")
 
 
 def test_evaluate_gives_each_episode_its_own_seed(main_phase_checkpoint, tmp_path):
